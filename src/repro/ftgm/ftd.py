@@ -106,6 +106,10 @@ class FaultToleranceDaemon:
         self.false_alarms = 0
         self.running = False
         self.rerouting = False
+        # busy: woken and not yet done with a reroute or card recovery;
+        # settled_at: when the last one completed.
+        self.busy = False
+        self.settled_at = float("-inf")
         self._last_reroute_at = float("-inf")
         self._proc = None
 
@@ -148,10 +152,12 @@ class FaultToleranceDaemon:
     def _run(self) -> Generator:
         while True:
             item = yield self._wakeups.get()
+            self.busy = True
             yield self.sim.timeout(C.FTD_WAKEUP_US)
             if isinstance(item, tuple) and item[0] == "path":
                 _tag, dest_node, verdict_at = item
                 yield from self._reroute(dest_node, verdict_at)
+                self._settle()
                 # Collapse queued duplicate path verdicts; keep genuine
                 # FATAL wakeups (plain floats) for the next iteration.
                 leftover = [x for x in self._wakeups.drain()
@@ -166,10 +172,20 @@ class FaultToleranceDaemon:
             self.tracer.emit(self.sim.now, self.name, "ftd_woken")
             yield from self._recover(record)
             self.recoveries.append(record)
+            self._settle()
             # Collapse duplicate wakeups raised before we disabled
             # interrupts (the ISR edge may fire more than once).
             while len(self._wakeups):
                 self._wakeups.try_get()
+
+    @property
+    def in_flight(self) -> bool:
+        """A reroute or card recovery is queued or running."""
+        return self.busy or len(self._wakeups) > 0
+
+    def _settle(self) -> None:
+        self.busy = False
+        self.settled_at = self.sim.now
 
     # -- the reroute path (netfaults) ---------------------------------------------
 

@@ -80,6 +80,15 @@ class NodeRoutes:
         self.hops = len(self.forward)
 
 
+#: The ``control`` keys each inbound MAPPER_* type must carry.
+_CONTROL_KEYS = {
+    PacketType.MAPPER_REPLY: ("node_id", "forward", "reverse"),
+    PacketType.MAPPER_CONFIG: ("routes",),
+    PacketType.MAPPER_DONE: ("node_id",),
+    PacketType.MAPPER_PORTINFO: ("switch", "ports"),
+}
+
+
 class MapperAgent:
     """Per-node mapper protocol endpoint, driven by that node's MCP.
 
@@ -103,9 +112,21 @@ class MapperAgent:
         self.portinfos: Store = Store(sim)   # switch port-census answers
         self.scouts_seen = 0
         self.configs_installed = 0
+        self.corrupted = 0    # MAPPER_* packets dropped as malformed
 
     def handle(self, packet: Packet) -> bool:
-        """Dispatch a MAPPER_* packet; returns False for other types."""
+        """Dispatch a MAPPER_* packet; returns False for other types.
+
+        A MAPPER_* packet whose ``control`` lacks the shape its type
+        carries (a bit flip can turn a DATA header into MAPPER_CONFIG)
+        is dropped and counted in ``corrupted``; it never raises.
+        """
+        need = _CONTROL_KEYS.get(packet.ptype)
+        if need is not None and not (
+                isinstance(packet.control, dict)
+                and all(key in packet.control for key in need)):
+            self.corrupted += 1
+            return True
         if packet.ptype == PacketType.MAPPER_SCOUT:
             self.scouts_seen += 1
             reply = Packet(
@@ -125,8 +146,12 @@ class MapperAgent:
             self.replies.put(packet.control)
             return True
         if packet.ptype == PacketType.MAPPER_CONFIG:
-            table = {int(dest): list(route)
-                     for dest, route in packet.control["routes"].items()}
+            try:
+                table = {int(dest): list(route) for dest, route
+                         in packet.control["routes"].items()}
+            except (AttributeError, TypeError, ValueError):
+                self.corrupted += 1
+                return True
             self.install_routes(table)
             self.configs_installed += 1
             done = Packet(

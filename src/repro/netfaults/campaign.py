@@ -3,7 +3,8 @@
 One run: build a fresh ≥4-node multi-switch FTGM cluster, start a
 cross-switch message workload, arm the fault plane and the per-node path
 detectors, inject one scenario's fault mid-stream, and observe until the
-workload resolves (or a horizon passes).  Outcomes are bucketed into
+workload resolves, the progress rule decides the run (nothing can change
+its outcome any more), or a horizon passes.  Outcomes are bucketed into
 four categories — recovered-by-reroute, recovered-by-retransmit, lost,
 deadlocked — and the reroute-recovered runs contribute a recovery-latency
 breakdown analogous to the paper's Table 3 (detection, daemon wakeup,
@@ -88,6 +89,13 @@ class NetFaultConfig:
     flap_down_us: float = 12_000.0
     corrupt_rate: float = 0.25
     observe_horizon_us: float = 20_000_000.0
+    # Progress rule: end the run once nothing application-visible has
+    # changed for this long, no fault-plane action is armed and no
+    # reroute or card recovery is in flight.  Longer than the retransmit
+    # backoff cap (200 ms) and the detector's re-verdict debounce
+    # (250 ms), so a post-repair retransmit or a re-verdict's reroute
+    # lands inside it.  A window >= the horizon turns the rule off.
+    progress_window_us: float = 300_000.0
 
 
 @dataclass
@@ -106,6 +114,9 @@ class NetFaultOutcome:
     sends_errored: int = 0
     workload_completed: bool = False
     resolved: bool = False
+    # Simulated instant the progress rule ended the run; -1 when the
+    # workload resolved on its own (or the horizon passed).
+    decided_at: float = -1.0
     # Recovery machinery observations.
     nic_resets: int = 0
     card_recoveries: int = 0
@@ -158,6 +169,39 @@ def _classify(outcome: NetFaultOutcome) -> str:
         # stuck.
         return NetCategory.LOST
     return NetCategory.DEADLOCKED
+
+
+class _ProgressRule:
+    """Decides when a run's outcome can no longer change.
+
+    Every application-visible change is stamped with its exact simulated
+    instant — deliveries and send completions by the workload
+    (``state["changed_at"]``), fault-plane actions firing by the plane,
+    reroutes and card recoveries (and so the NIC resets inside them) by
+    each FTD settling — so the deadline never depends on where the drive
+    loop or a pause cut its chunks.  Only the workload-active nodes'
+    daemons are watched: the check costs O(active nodes), not O(fabric).
+    """
+
+    def __init__(self, window_us: float, state: Dict, plane, ftds: List):
+        self.window_us = window_us
+        self.state = state
+        self.plane = plane
+        self.ftds = ftds
+
+    def deadline(self) -> float:
+        last = max(self.state["changed_at"], self.plane.fired_at)
+        for ftd in self.ftds:
+            last = max(last, ftd.settled_at)
+        return last + self.window_us
+
+    def quiet(self) -> bool:
+        """No fault-plane action armed, no reroute/recovery in flight."""
+        return not self.plane.armed and \
+            not any(ftd.in_flight for ftd in self.ftds)
+
+    def ckpt_state(self) -> dict:
+        return {"deadline": self.deadline(), "quiet": self.quiet()}
 
 
 # -- one run -------------------------------------------------------------------
@@ -240,7 +284,8 @@ def netfault_group(config: NetFaultConfig):
             config.messages, config.message_bytes,
             config.message_gap_us, config.fault_at_us,
             config.fault_window_us, config.flap_down_us,
-            config.corrupt_rate, config.observe_horizon_us)
+            config.corrupt_rate, config.observe_horizon_us,
+            config.progress_window_us)
 
 
 def plan_netfault_runs(cluster, items):
@@ -339,6 +384,7 @@ def resume_netfault(cluster, config: NetFaultConfig,
         "deliveries": {},          # (src, dst, i) -> count
         "delivery_times": [],      # (time, src, dst, i)
         "receivers_done": 0,
+        "changed_at": start_at,    # last delivery or send completion
     }
     total_sends = len(directed) * config.messages
 
@@ -350,6 +396,7 @@ def resume_netfault(cluster, config: NetFaultConfig,
                 state["send_done"] += 1
             else:
                 state["send_err"] += 1
+            state["changed_at"] = sim.now
 
         for i in range(config.messages):
             payload = expected[(node.node_id, dest_node, i)]
@@ -384,6 +431,7 @@ def resume_netfault(cluster, config: NetFaultConfig,
             state["deliveries"][key] = state["deliveries"].get(key, 0) + 1
             state["delivery_times"].append(
                 (sim.now, src_node, node.node_id, index))
+            state["changed_at"] = sim.now
             got += 1
             if provided < config.messages:
                 yield from port.provide_receive_buffer(config.message_bytes)
@@ -399,6 +447,13 @@ def resume_netfault(cluster, config: NetFaultConfig,
     def _done() -> bool:
         resolved = state["send_done"] + state["send_err"] >= total_sends
         return resolved and state["receivers_done"] >= len(directed)
+
+    active = {node for pair in directed for node in pair}
+    active.update(detector.node_id for detector in detectors)
+    progress = _ProgressRule(
+        config.progress_window_us, state, plane,
+        [cluster[n].driver.ftd for n in sorted(active)
+         if getattr(cluster[n].driver, "ftd", None) is not None])
 
     if branch is not None:
         def _adopt(plan):
@@ -437,16 +492,27 @@ def resume_netfault(cluster, config: NetFaultConfig,
 
     horizon = config.observe_horizon_us
 
-    def drive(limit: float) -> None:
+    def drive(limit: float) -> bool:
+        """Run to ``limit`` or until the workload resolves; True when
+        the progress rule decided the run first."""
         while not _done():
+            deadline = progress.deadline()
+            if sim.now >= deadline and progress.quiet():
+                return True
+            stop = min(limit, deadline) if deadline > sim.now else limit
             next_at = sim.peek()
-            if next_at > limit:
-                break
-            sim.run(until=min(next_at + 1_000.0, limit))
+            if next_at > stop:
+                if stop == limit:
+                    break
+                sim.run(until=stop)     # idle up to the deadline
+                continue
+            sim.run(until=min(next_at + 1_000.0, stop))
+        return False
 
     def finish() -> NetFaultOutcome:
-        drive(horizon)
-        sim.run(until=min(sim.now + 10_000.0, horizon))
+        decided = drive(horizon)
+        if not decided:
+            sim.run(until=min(sim.now + 10_000.0, horizon))
 
         # -- observe and classify ----------------------------------------------
 
@@ -467,6 +533,7 @@ def resume_netfault(cluster, config: NetFaultConfig,
                                       and outcome.delivered_once
                                       == len(expected))
         outcome.resolved = _done()
+        outcome.decided_at = sim.now if decided else -1.0
         outcome.nic_resets = sum(node.nic.resets for node in cluster.nodes)
         outcome.card_recoveries = sum(len(ftd.recoveries)
                                       for ftd in cluster.ftds())
@@ -495,10 +562,11 @@ def resume_netfault(cluster, config: NetFaultConfig,
 
     if pause_at is not None:
         limit = min(pause_at, horizon)
-        drive(limit)
-        sim.run(until=limit)
+        if not drive(limit):
+            sim.run(until=limit)
         from ..ckpt.pause import PausedRun
-        return PausedRun(cluster, config, {"plane": plane}, finish)
+        return PausedRun(cluster, config,
+                         {"plane": plane, "progress": progress}, finish)
     return finish()
 
 

@@ -62,6 +62,10 @@ class NetworkFaultPlane:
         self.rng = rng
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.actions: List[FaultAction] = []
+        # Progress-rule inputs: actions armed but not yet fired, and the
+        # instant the last one fired (an application-visible change).
+        self.armed = 0
+        self.fired_at = float("-inf")
         # Branch-execution support (see repro.ckpt.branch): in capture
         # mode _schedule records (at, fn, name) instead of arming;
         # branch slots are placeholder waiters a forked child later
@@ -121,14 +125,20 @@ class NetworkFaultPlane:
             return
         delay = at - self.sim.now
         if delay <= 0:
-            fn()
+            self._fire(fn)
             return
 
         def waiter() -> Generator:
             yield self.sim.timeout(delay)
-            fn()
+            self.armed -= 1
+            self._fire(fn)
 
+        self.armed += 1
         self.sim.spawn(waiter(), name="netfaults.%s" % name)
+
+    def _fire(self, fn) -> None:
+        self.fired_at = self.sim.now
+        fn()
 
     # -- branch execution (repro.ckpt.branch) ---------------------------------
 
@@ -177,8 +187,10 @@ class NetworkFaultPlane:
             def waiter(slot: _ArmSlot = slot) -> Generator:
                 slot.timeout = self.sim.timeout(_FAR_FUTURE - self.sim.now)
                 yield slot.timeout
-                slot.fn()
+                self.armed -= 1
+                self._fire(slot.fn)
 
+            self.armed += 1
             slot.process = sim.spawn(waiter(),
                                      name="netfaults.%s" % name)
             slots.append(slot)

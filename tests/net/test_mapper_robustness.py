@@ -80,3 +80,67 @@ class TestRemapAfterSeveredLink:
         assert survivor in new_links
         assert mapper.phase_times["discovered"] \
             <= mapper.phase_times["distributed"]
+
+
+class TestMalformedMapperPackets:
+    """A bit-flipped header can decode as a MAPPER_* type whose
+    ``control`` is absent or the wrong shape: the agent drops it."""
+
+    def _agent(self):
+        from repro.net import MapperAgent
+        from repro.sim import Simulator
+
+        sent, installed = [], []
+        agent = MapperAgent(Simulator(), 1, sent.append, installed.append)
+        return agent, sent, installed
+
+    def test_malformed_packets_are_dropped_and_counted(self):
+        from repro.net import Packet
+
+        agent, sent, installed = self._agent()
+        bad = [
+            Packet(ptype=PacketType.MAPPER_CONFIG, src_node=0, dest_node=1),
+            Packet(ptype=PacketType.MAPPER_CONFIG, src_node=0, dest_node=1,
+                   control={"routes": None}),
+            Packet(ptype=PacketType.MAPPER_CONFIG, src_node=0, dest_node=1,
+                   control={"routes": {"x": [1]}}),
+            Packet(ptype=PacketType.MAPPER_REPLY, src_node=0, dest_node=1,
+                   control={"node_id": 0}),
+            Packet(ptype=PacketType.MAPPER_DONE, src_node=0, dest_node=1,
+                   control=[0]),
+            Packet(ptype=PacketType.MAPPER_PORTINFO, src_node=-1,
+                   dest_node=1),
+        ]
+        for packet in bad:
+            assert agent.handle(packet) is True
+        assert agent.corrupted == len(bad)
+        assert sent == [] and installed == []
+        assert len(agent.replies) == len(agent.dones) == 0
+        assert agent.configs_installed == 0
+
+    def test_well_formed_config_still_installs(self):
+        from repro.net import Packet
+
+        agent, sent, installed = self._agent()
+        packet = Packet(ptype=PacketType.MAPPER_CONFIG, src_node=0,
+                        dest_node=1, control={"routes": {"0": [3]}})
+        assert agent.handle(packet) is True
+        assert installed == [{0: [3]}]
+        assert agent.corrupted == 0
+        assert [p.ptype for p in sent] == [PacketType.MAPPER_DONE]
+
+
+class TestMalformedMapperPacketRuns:
+    """Table 1 runs whose SWIFI flip yields a MAPPER_CONFIG header with
+    no control used to abort the whole campaign with a TypeError."""
+
+    def test_runs_classify_instead_of_raising(self):
+        from repro.exp import get_experiment
+        from repro.faults.outcomes import CATEGORY_ORDER
+
+        experiment = get_experiment("table1")
+        configs = experiment.expand(
+            experiment.build_spec({"runs": 2400, "seed": 100000}))
+        for index in (217, 1348, 1856):
+            outcome = experiment.run_one(configs[index])
+            assert outcome.category in CATEGORY_ORDER
