@@ -32,6 +32,7 @@ if os.path.isdir(os.path.join(REPO_ROOT, "src", "repro")):
 
 from repro.exp.perfbench import (  # noqa: E402  (path bootstrap above)
     bench_campaign,
+    bench_fabric_hops,
     bench_kernel_events,
     bench_kernel_wakeups,
     bench_lanai_interpreter,
@@ -41,6 +42,7 @@ from repro.exp.perfbench import (  # noqa: E402  (path bootstrap above)
 
 __all__ = [
     "bench_campaign",
+    "bench_fabric_hops",
     "bench_kernel_events",
     "bench_kernel_wakeups",
     "bench_lanai_interpreter",

@@ -11,6 +11,7 @@ import pytest
 
 from perf_harness import (
     bench_campaign,
+    bench_fabric_hops,
     bench_kernel_events,
     bench_kernel_wakeups,
     bench_lanai_interpreter,
@@ -36,6 +37,14 @@ def test_interpreter_smoke():
     result = bench_lanai_interpreter(repeats=1)
     assert result["instructions"] > 100_000
     assert result["instr_per_sec"] > 0
+
+
+@pytest.mark.perf
+def test_fabric_hops_smoke():
+    result = bench_fabric_hops(nodes=32, packets_per_node=10)
+    assert result["packets"] == 320
+    assert result["hops"] == 6 * 320     # cross-pod: six wire hops each
+    assert result["hops_per_sec"] > 0
 
 
 @pytest.mark.perf

@@ -1,6 +1,6 @@
 """Microbenchmarks for the simulation-stack fast paths.
 
-Three numbers capture the cost of everything this project does:
+Four numbers capture the cost of everything this project does:
 
 * **kernel events/sec** — raw discrete-event throughput: processes
   yielding timeouts, the pattern every host, NIC, DMA engine and daemon
@@ -10,6 +10,8 @@ Three numbers capture the cost of everything this project does:
   behind every interpreted ``send_chunk`` in the fault-injection study.
 * **campaign runs/sec** — end-to-end wall clock of a Table 1 style
   fault-injection campaign (the dominant cost of the reproduction).
+* **fabric hops/sec** — the link/switch layer alone: packets crossing a
+  3-tier fat-tree with no NIC firmware or host behind them.
 
 These used to live in ``benchmarks/perf/perf_harness.py``; they moved
 into the package so the experiment engine can register them (``repro
@@ -28,6 +30,7 @@ __all__ = [
     "bench_kernel_events",
     "bench_kernel_wakeups",
     "bench_lanai_interpreter",
+    "bench_fabric_hops",
     "bench_campaign",
     "bench_netfaults",
     "bench_loadgen",
@@ -44,7 +47,7 @@ __all__ = [
 ]
 
 BENCH_NAMES = ("kernel_timeouts", "kernel_wakeups", "lanai_interpreter",
-               "campaign", "snapshot")
+               "fabric_hops", "campaign", "snapshot")
 
 
 def bench_kernel_events(total_yields: int = 200_000,
@@ -162,6 +165,83 @@ def bench_lanai_interpreter(repeats: int = 3) -> dict:
         "instructions": executed,
         "wall_s": round(wall, 4),
         "instr_per_sec": round(executed / wall, 1),
+    }
+
+
+class _HopSink:
+    """A host stand-in at a fabric edge: accepts and counts arrivals."""
+
+    def __init__(self, sim, node_id: int):
+        self.sim = sim
+        self.node_id = node_id
+        self.name = "sink%d" % node_id
+        self.link = None
+        self.received = 0
+
+    def deliver_packet(self, packet) -> bool:
+        self.received += 1
+        return True
+
+
+def bench_fabric_hops(nodes: int = 64, radix: int = 8,
+                      packets_per_node: int = 100,
+                      nbytes: int = 1024) -> dict:
+    """Hops/sec through a 3-tier fat-tree: links and switches alone.
+
+    Every host stand-in queues ``packets_per_node`` packets at time 0
+    for the host half the fabric away, which is always in another pod:
+    five switch hops and six wire hops per packet.  Successive packets
+    of a source take successive core paths, so uplinks and core ports
+    carry interleaved flows and output ports contend.  Only the event
+    loop is timed; packets are built before the clock starts.  ``hops``
+    is ``link.packets_carried`` summed over the fabric (the ``net.hops``
+    of hostbench).
+    """
+    from ..net import Fabric, Packet, PacketType
+    from ..net.fabric import fat_tree_dimensions
+    from ..payload import Payload
+    from ..sim import Simulator
+
+    half, _ = fat_tree_dimensions(nodes, radix)
+    per_pod = half * half
+    if nodes % (2 * per_pod):
+        raise ValueError("%d hosts do not split into two halves of whole "
+                         "radix-%d pods" % (nodes, radix))
+    sim = Simulator()
+    fabric = Fabric(sim)
+    sinks = [_HopSink(sim, i) for i in range(nodes)]
+    fabric.fat_tree(sinks, nports=radix)
+    sends = []
+    for src in range(nodes):
+        dst = (src + nodes // 2) % nodes
+        dst_edge = dst // half
+        for k in range(packets_per_node):
+            agg, core = k % half, (k // half) % half
+            route = [half + agg, half + core, dst_edge // half,
+                     dst_edge % half, dst % half]
+            sends.append((fabric.nic_ports[src], Packet(
+                ptype=PacketType.DATA, src_node=src, dest_node=dst,
+                route=route, payload=Payload.phantom(nbytes, tag=src))
+                .seal()))
+    t0 = time.perf_counter()
+    for port, packet in sends:
+        port.transmit(packet)
+    sim.run()
+    wall = time.perf_counter() - t0
+    hops = sum(link.packets_carried for link in fabric.links)
+    delivered = sum(sink.received for sink in sinks)
+    if delivered != len(sends):
+        raise RuntimeError("fabric lost %d of %d packets"
+                           % (len(sends) - delivered, len(sends)))
+    return {
+        "nodes": nodes,
+        "radix": radix,
+        "packets": len(sends),
+        "hops": hops,
+        "events": next(sim._seq),
+        "sim_us": round(sim.now, 3),
+        "wall_s": round(wall, 4),
+        "hops_per_sec": round(hops / wall, 1),
     }
 
 
@@ -557,6 +637,9 @@ def run_bench(config: Dict[str, Any]) -> dict:
     if name == "lanai_interpreter":
         return _best(lambda: bench_lanai_interpreter(
             repeats=1 if quick else 3), "instr_per_sec", samples)
+    if name == "fabric_hops":
+        return _best(lambda: bench_fabric_hops(
+            nodes=32 if quick else 64), "hops_per_sec", samples)
     if name == "campaign":
         return bench_campaign(config.get("campaign_runs", 200),
                               config.get("campaign_workers", 1))
@@ -600,6 +683,11 @@ def render_results(results: Dict[str, Any]) -> str:
     lines.append("%-18s %12.0f instr/sec"
                  % ("lanai_interpreter",
                     results["lanai_interpreter"]["instr_per_sec"]))
+    hops = results.get("fabric_hops")
+    if hops:
+        lines.append("%-18s %12.0f hops/sec (%d nodes, %d packets)"
+                     % ("fabric_hops", hops["hops_per_sec"], hops["nodes"],
+                        hops["packets"]))
     campaign = results["campaign"]
     lines.append("%-18s %12.2f runs/sec (%d runs, workers=%d, %.1fs)"
                  % ("campaign", campaign["runs_per_sec"],

@@ -934,10 +934,7 @@ class Mcp:
         if pkt.dest_node == self.node_id:
             self.nic.deliver_packet(pkt)
             return
-        self.sim.spawn(self._tx_engine(pkt), name="%s.tx" % self.name)
-
-    def _tx_engine(self, pkt: Packet) -> Generator:
-        yield from self.nic.send_packet(pkt)
+        self.nic.link.transmit(pkt)
 
     # -- receive path ----------------------------------------------------------
 

@@ -116,16 +116,24 @@ class Nic:
         return True
 
     def send_packet(self, packet: Any):
-        """Process: push a packet onto the wire (blocks for wire time).
+        """Process: transmit a packet and wait for its fate at the far end.
 
-        ``self.link`` is the fabric attachment point (a ``NicPort``);
-        returns True once the packet has cleared the wire (delivery
-        completes one wire latency later on the receiver's wheel).
+        ``self.link`` is the fabric attachment point (a ``NicPort``).
+        Returns True once the far end accepted the packet, False if it
+        was lost on the way (cut link, fault-filter drop, or a receiver
+        that refused it).  The fate is settled by the arrival instant
+        ``clear + latency``; on one event wheel the delivery timer for
+        that instant is armed before it comes, so one more same-instant
+        wait sees the verdict.  The MCP transmits without waiting
+        (``NicPort.transmit``).
         """
         if self.link is None:
             raise RuntimeError("%s is not cabled to a link" % self.name)
-        ok = yield from self.link.send(packet)
-        return ok
+        accepted = []
+        clear = self.link.transmit(packet, lambda: accepted.append(True))
+        yield self.sim.timeout_at(clear + self.link.link.latency)
+        yield self.sim.timeout(0.0)
+        return bool(accepted)
 
     def ckpt_state(self) -> dict:
         """Snapshot contract: the whole board below the control program.

@@ -67,10 +67,11 @@ class NicPort:
     def deliver_packet(self, packet) -> bool:
         return self.nic.deliver_packet(packet)
 
-    def send(self, packet, on_accept=None):
+    def transmit(self, packet, on_accept=None) -> float:
+        """Put ``packet`` on this NIC's wire; returns its clear instant."""
         if self.link is None:
             raise RuntimeError("%s is not cabled" % self.name)
-        return self.link.send(self, packet, on_accept)
+        return self.link.transmit(self, packet, on_accept)
 
 
 class Fabric:

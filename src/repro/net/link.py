@@ -1,27 +1,33 @@
 """Full-duplex Myrinet links.
 
 A link connects two endpoints (a NIC's packet interface or a switch
-port).  Each direction is an independent serialized pipe at Myrinet's
+port).  Each direction is an independent serialized wire at Myrinet's
 2 Gb/s (250 bytes/µs) plus a small fixed propagation/SERDES latency.
-Transmission holds the directional pipe for the packet's wire time —
-that is where link-level contention and therefore backpressure-at-the-
-edge come from.
+
+A FIFO wire of capacity one has a closed form, so no process carries a
+packet across it: a packet ready to leave at ``ready`` clears the wire
+at ``max(ready, busy_until) + wire_size / bandwidth``, and the direction
+just advances ``busy_until``.  That serialization is where link-level
+contention and therefore backpressure-at-the-edge come from.  Packets
+still on the wire ride a per-direction :class:`_Wire` queue behind one
+armed timer; at each clear instant the link applies its ``up`` check
+and fault filter.
 
 Delivery is decoupled from transmission: once a packet clears the wire,
-its arrival rides a per-direction :class:`_DeliveryQueue` — one armed
-timer carrying a deque of in-flight packets instead of a heap entry per
-packet, so back-to-back deliveries on a hot link coalesce.  The same
-queue is the shard-boundary channel of the sharded simulator: when the
-two endpoints live on different event wheels the arrival crosses through
-a :class:`repro.sim.ShardChannel` instead of being armed directly.
+its arrival rides a per-direction :class:`_DeliveryQueue` — the same
+one-timer-per-deque shape, so back-to-back deliveries on a hot link
+coalesce.  The same queue is the shard-boundary channel of the sharded
+simulator: when the two endpoints live on different event wheels the
+arrival crosses through a :class:`repro.sim.ShardChannel` instead of
+being armed directly.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Generator, Optional
+from typing import Optional
 
-from ..sim import Pipe, Simulator, Tracer
+from ..sim import Simulator, Tracer
 
 __all__ = ["Link", "LINK_BANDWIDTH", "LINK_LATENCY"]
 
@@ -40,28 +46,22 @@ def _endpoint_sim(endpoint, default: Simulator) -> Simulator:
     return wheel if wheel is not None else default
 
 
-class _DeliveryQueue:
-    """In-flight packets of one link direction, one armed timer total.
+class _Timeline:
+    """A FIFO of ``(when, ...)`` entries behind one armed absolute timer.
 
-    Arrivals are pushed in nondecreasing time order (the directional
-    pipe serializes transmissions and the wire latency is constant), so
-    a deque plus a single re-armed absolute timer replaces one heap
-    entry per packet — and same-instant deliveries drain in one firing.
+    Entries are appended in nondecreasing ``when`` order, so a deque
+    plus a single re-armed timer replaces one heap entry per packet, and
+    same-instant entries drain in one firing.  Subclasses say what
+    happens to an entry when its instant comes (:meth:`_complete`).
     """
 
-    __slots__ = ("link", "receiver", "sim", "queue", "armed")
+    __slots__ = ("link", "sim", "queue", "armed")
 
-    def __init__(self, link: "Link", receiver, sim: Simulator):
+    def __init__(self, link: "Link", sim: Simulator):
         self.link = link
-        self.receiver = receiver
         self.sim = sim
         self.queue: deque = deque()
         self.armed = None
-
-    def push(self, when: float, packet, duplicate, on_accept) -> None:
-        self.queue.append((when, packet, duplicate, on_accept))
-        if self.armed is None:
-            self._arm(when)
 
     def _arm(self, when: float) -> None:
         timer = self.sim.timeout_at(when)
@@ -72,13 +72,117 @@ class _DeliveryQueue:
         self.armed = None
         queue = self.queue
         now = self.sim._now
-        deliver = self.link._deliver
-        receiver = self.receiver
+        complete = self._complete
         while queue and queue[0][0] <= now:
-            entry = queue.popleft()
-            deliver(receiver, entry[1], entry[2], entry[3])
+            complete(queue.popleft())
         if queue:
             self._arm(queue[0][0])
+
+    def _complete(self, entry: tuple) -> None:
+        raise NotImplementedError
+
+
+class _Wire(_Timeline):
+    """Packets still on the wire in one link direction (sender's wheel)."""
+
+    __slots__ = ("bandwidth", "busy_until", "bytes_moved", "land")
+
+    def __init__(self, link: "Link", sim: Simulator, bandwidth: float):
+        super().__init__(link, sim)
+        self.bandwidth = bandwidth
+        self.busy_until = 0.0
+        self.bytes_moved = 0    # put on the wire, still-clearing ones too
+        # Where a cleared packet goes: the receiver's delivery queue, or
+        # the ShardChannel toward it (rebound by Link._bind_shards).
+        self.land = None
+
+    def post(self, packet, on_accept, delay: float) -> float:
+        """Queue ``packet``, ready ``delay`` from now; returns its clear."""
+        ready = self.sim._now + delay
+        busy = self.busy_until
+        nbytes = packet.wire_size
+        clear = (ready if ready > busy else busy) + nbytes / self.bandwidth
+        self.busy_until = clear
+        self.bytes_moved += nbytes
+        self.queue.append((clear, packet, on_accept))
+        if self.armed is None:
+            self._arm(clear)
+        return clear
+
+    def _complete(self, entry: tuple) -> None:
+        """The clear instant: ``up`` check, fault filter, then arrival."""
+        link = self.link
+        packet = entry[1]
+        if not link.up:
+            link.tracer.emit(self.sim.now, "link", "link_down_drop",
+                             packet=packet.describe())
+            return
+        duplicate = None
+        if link.fault_filter is not None:
+            verdict = link.fault_filter(packet)
+            if verdict == "corrupt":
+                # Wire bit-rot: the packet arrives but its CRC is stale.
+                packet.corrupt_payload(bit=1)
+                link.packets_corrupted += 1
+            elif verdict == "duplicate":
+                # A retransmission artefact / reflection: the far end sees
+                # the packet twice.  Clone before delivery because switches
+                # consume the route list in place.
+                duplicate = packet.clone_for_retransmit()
+                duplicate.ingress_ports = list(packet.ingress_ports)
+            elif verdict:
+                link.packets_dropped += 1
+                link.tracer.emit(self.sim.now, "link", "fault_drop",
+                                 packet=packet.describe())
+                return
+        self.land(entry[0] + link.latency, packet, duplicate, entry[2])
+
+    def ckpt_state(self) -> dict:
+        """Snapshot contract: serialization horizon and packets on the wire."""
+        return {
+            "busy_until": self.busy_until,
+            "bytes_moved": self.bytes_moved,
+            "armed": self.armed is not None,
+            "queue": [
+                {
+                    "when": when,
+                    "packet": packet.ckpt_state(),
+                    "on_accept": on_accept is not None,
+                }
+                for when, packet, on_accept in self.queue
+            ],
+        }
+
+
+class _DeliveryQueue(_Timeline):
+    """In-flight arrivals of one link direction (receiver's wheel)."""
+
+    __slots__ = ("receiver",)
+
+    def __init__(self, link: "Link", receiver, sim: Simulator):
+        super().__init__(link, sim)
+        self.receiver = receiver
+
+    def push(self, when: float, packet, duplicate, on_accept) -> None:
+        self.queue.append((when, packet, duplicate, on_accept))
+        if self.armed is None:
+            self._arm(when)
+
+    def _complete(self, entry: tuple) -> None:
+        """Complete one arrival."""
+        link = self.link
+        receiver = self.receiver
+        link.packets_carried += 1
+        accepted = receiver.deliver_packet(entry[1])
+        duplicate = entry[2]
+        if duplicate is not None:
+            link.packets_duplicated += 1
+            link.tracer.emit(self.sim.now, "link", "fault_duplicate",
+                             packet=duplicate.describe())
+            receiver.deliver_packet(duplicate)
+        on_accept = entry[3]
+        if accepted and on_accept is not None:
+            on_accept()
 
     def ckpt_state(self) -> dict:
         """Snapshot contract: in-flight arrivals of this direction."""
@@ -98,33 +202,37 @@ class _DeliveryQueue:
 
 
 class Link:
-    """Two endpoints, one pipe per direction.
+    """Two endpoints, one wire per direction.
 
     Endpoints must expose ``deliver_packet(packet) -> bool`` (and, for
-    tracing, a ``name`` attribute).  Use :meth:`send` from the endpoint
-    that is transmitting.
+    tracing, a ``name`` attribute).  Use :meth:`transmit` from the
+    endpoint that is transmitting.
     """
 
     def __init__(self, sim: Simulator, end_a, end_b,
                  bandwidth: float = LINK_BANDWIDTH,
                  latency: float = LINK_LATENCY,
                  tracer: Optional[Tracer] = None):
+        if bandwidth <= 0:
+            raise ValueError("bandwidth must be positive")
         self.sim = sim
         self.end_a = end_a
         self.end_b = end_b
         self.latency = latency
         sim_a = _endpoint_sim(end_a, sim)
         sim_b = _endpoint_sim(end_b, sim)
-        self._sims = {id(end_a): sim_a, id(end_b): sim_b}
-        self._pipes = {
-            id(end_a): Pipe(sim_a, bandwidth),  # direction: a -> b
-            id(end_b): Pipe(sim_b, bandwidth),  # direction: b -> a
+        # Each wire runs on its sender's wheel; arrivals land on the
+        # *receiver's* wheel.
+        self._wires = {
+            id(end_a): _Wire(self, sim_a, bandwidth),  # direction: a -> b
+            id(end_b): _Wire(self, sim_b, bandwidth),  # direction: b -> a
         }
-        # Arrivals land on the *receiver's* wheel.
         self._delivery = {
             id(end_a): _DeliveryQueue(self, end_b, sim_b),
             id(end_b): _DeliveryQueue(self, end_a, sim_a),
         }
+        for key, wire in self._wires.items():
+            wire.land = self._delivery[key].push
         # Cross-shard directions route through ShardChannels; filled in
         # by _bind_shards() when the endpoint wheels differ.
         self._channels = {}
@@ -162,6 +270,8 @@ class Link:
                                          self.latency,
                                          self._delivery[id(self.end_b)]),
         }
+        for key, channel in self._channels.items():
+            self._wires[key].land = channel.post
 
     def other(self, endpoint):
         if endpoint is self.end_a:
@@ -170,63 +280,28 @@ class Link:
             return self.end_a
         raise ValueError("%r is not attached to this link" % (endpoint,))
 
-    def send(self, sender, packet, on_accept=None) -> Generator:
-        """Process: transmit ``packet`` from ``sender`` to the other end.
+    def transmit(self, sender, packet, on_accept=None,
+                 delay: float = 0.0) -> float:
+        """Put ``packet`` on the wire from ``sender``; returns its clear.
 
-        Returns True once the packet has cleared the wire toward the far
-        end (False on a cut link or a fault-filter drop — either way the
-        sender's protocol layer must recover, which is exactly GM's job).
-        Delivery itself completes one wire latency later on the
-        receiver's wheel; ``on_accept`` is called then if the far end
-        accepted the packet.
+        The packet is ready ``delay`` from now (a switch's cut-through
+        latency; 0 for a NIC), then waits its turn on the directional
+        wire.  At the clear instant it is dropped if the link is down or
+        the fault filter drops it — either way the sender's protocol
+        layer must recover, which is exactly GM's job.  Otherwise it
+        arrives one wire latency later on the receiver's wheel, and
+        ``on_accept`` is called then if the far end accepted it.
         """
-        sim = self._sims[id(sender)]
-        pipe = self._pipes[id(sender)]
-        yield from pipe.transfer(packet.wire_size)
-        if not self.up:
-            self.tracer.emit(sim.now, "link", "link_down_drop",
-                             packet=packet.describe())
-            return False
-        duplicate = None
-        if self.fault_filter is not None:
-            verdict = self.fault_filter(packet)
-            if verdict == "corrupt":
-                # Wire bit-rot: the packet arrives but its CRC is stale.
-                packet.corrupt_payload(bit=1)
-                self.packets_corrupted += 1
-            elif verdict == "duplicate":
-                # A retransmission artefact / reflection: the far end sees
-                # the packet twice.  Clone before delivery because switches
-                # consume the route list in place.
-                duplicate = packet.clone_for_retransmit()
-                duplicate.ingress_ports = list(packet.ingress_ports)
-            elif verdict:
-                self.packets_dropped += 1
-                self.tracer.emit(sim.now, "link", "fault_drop",
-                                 packet=packet.describe())
-                return False
-        when = sim._now + self.latency
-        channel = self._channels.get(id(sender))
-        if channel is not None:
-            channel.post(when, packet, duplicate, on_accept)
-        else:
-            self._delivery[id(sender)].push(when, packet, duplicate, on_accept)
-        return True
-
-    def _deliver(self, receiver, packet, duplicate, on_accept) -> None:
-        """Complete one arrival (runs on the receiver's wheel)."""
-        self.packets_carried += 1
-        accepted = receiver.deliver_packet(packet)
-        if duplicate is not None:
-            self.packets_duplicated += 1
-            self.tracer.emit(self._sims[id(receiver)].now, "link",
-                             "fault_duplicate", packet=duplicate.describe())
-            receiver.deliver_packet(duplicate)
-        if accepted and on_accept is not None:
-            on_accept()
+        return self._wires[id(sender)].post(packet, on_accept, delay)
 
     def cut(self) -> None:
-        """Take the link down (packets in flight are lost)."""
+        """Take the link down.
+
+        A packet still on the wire (not yet at its clear instant) is
+        dropped when it clears, with a ``link_down_drop`` trace; a packet
+        that has already cleared the wire is past the cut and is still
+        delivered.
+        """
         if self.up:
             self.cuts += 1
             self.tracer.emit(self.sim.now, "link", "link_cut",
@@ -247,7 +322,7 @@ class Link:
                             getattr(self.end_b, "name", "?"))
 
     def ckpt_state(self) -> dict:
-        """Snapshot contract: direction pipes, in-flight queues, faults."""
+        """Snapshot contract: direction wires, in-flight queues, faults."""
         ka, kb = id(self.end_a), id(self.end_b)
         return {
             "ends": self.describe_ends(),
@@ -259,8 +334,8 @@ class Link:
             "corrupted": self.packets_corrupted,
             "cuts": self.cuts,
             "fault_filter": self.fault_filter is not None,
-            "pipes": [self._pipes[ka].ckpt_state(),
-                      self._pipes[kb].ckpt_state()],
+            "wires": [self._wires[ka].ckpt_state(),
+                      self._wires[kb].ckpt_state()],
             "delivery": [self._delivery[ka].ckpt_state(),
                          self._delivery[kb].ckpt_state()],
             "channels": [self._channels[k].ckpt_state()

@@ -2,13 +2,15 @@
 
 Three primitives cover everything this project models:
 
-* :class:`Resource` — a counted semaphore with FIFO queueing.  The PCI bus,
-  the host DMA interface and LANai packet interfaces are Resources.
+* :class:`Resource` — a counted semaphore with FIFO queueing.  The host
+  CPU is a Resource, and every Pipe holds one.
 * :class:`Store` — an unbounded (or bounded) FIFO of items with blocking
-  ``get``.  Event queues, link pipelines and daemon mailboxes are Stores.
+  ``get``.  Event queues, receive rings and daemon mailboxes are Stores.
 * :class:`Pipe` — a byte-rate-limited conduit: each transfer holds the pipe
-  for ``bytes / bandwidth + setup`` time.  Links and DMA engines use it to
-  turn sizes into simulated time with natural serialization.
+  for ``bytes / bandwidth + setup`` time.  The PCI bus (which the DMA
+  engine drives) uses it to turn sizes into simulated time with natural
+  serialization.  Links do not: a capacity-one FIFO wire has a closed
+  form (:mod:`repro.net.link`).
 """
 
 from __future__ import annotations

@@ -167,3 +167,36 @@ class TestCrossProcess:
             timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == snapshot.state_hash
+
+
+class TestInFlightWires:
+    # Netfaults run 2 at seed 2003, paused at 2415 us: switch port sw1.p7
+    # (an inter-switch uplink) has two packets still on its wire, one
+    # clearing and one queued behind it.
+    AT_BUSY_US = 2_415.0
+
+    @staticmethod
+    def _busy_switch_wires(snapshot):
+        busy = []
+        for link in snapshot.capture["state"]["fabric"]["links"]:
+            senders = link["ends"].split("<->")
+            for sender, wire in zip(senders, link["wires"]):
+                if sender.startswith("sw") and len(wire["queue"]) >= 2:
+                    busy.append((sender, wire))
+        return busy
+
+    def test_busy_switch_port_restores_and_finishes_cold(self):
+        experiment = get_experiment("netfaults")
+        spec = _netfaults_spec(SEEDS[0])
+        snapshot = take_snapshot(spec, self.AT_BUSY_US, run_index=2)
+        busy = self._busy_switch_wires(snapshot)
+        assert [sender for sender, _ in busy] == ["sw1.p7"]
+        wire = busy[0][1]
+        clears = [entry["when"] for entry in wire["queue"]]
+        assert self.AT_BUSY_US < clears[0] < clears[1] == wire["busy_until"]
+        assert wire["armed"]
+        paused = restore_snapshot(snapshot)      # verify=True hash check
+        outcome = paused.finish()
+        cold = run_many([experiment.expand(spec)[2]], experiment.run_one,
+                        workers=1)[0]
+        assert outcome == cold

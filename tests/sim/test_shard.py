@@ -250,12 +250,7 @@ class TestCrossShardLink:
         a = _FakeEndpoint("a", sched.wheels[0])
         b = _FakeEndpoint("b", sched.wheels[1])
         link = Link(sched.wheels[0], a, b, latency=0.4)
-
-        def push():
-            ok = yield from link.send(a, _FakePacket(64))
-            assert ok
-
-        sched.wheels[0].spawn(push())
+        link.transmit(a, _FakePacket(64))
         sched.run()
         assert len(b.received) == 1
         stats = sched.boundary_stats()
