@@ -61,11 +61,8 @@ def _validate_entry(label: str, results: dict) -> None:
     produced it, so every entry must record the ``cpus`` it ran on, and
     every sub-result that reports ``runs_per_sec`` (the campaign-style
     benchmarks, whose wall clock scales with parallel fan-out) must say
-    how many ``workers`` processes and simulator ``shards`` were in
-    play, and whether the ``branch``-at-injection executor (one shared
-    prefix per group) produced the number — a branched runs/s is not
-    comparable to a cold-boot one without that flag.  Applies to *new*
-    merges only — historical entries predate these axes and stay as
+    how many ``workers`` processes were in play.  Applies to *new*
+    merges only — historical entries predate this axis and stay as
     recorded.
     """
     if not isinstance(results.get("cpus"), int):
@@ -75,13 +72,10 @@ def _validate_entry(label: str, results: dict) -> None:
     for name, sub in results.items():
         if not isinstance(sub, dict) or "runs_per_sec" not in sub:
             continue
-        missing = [axis for axis in ("workers", "shards", "branch")
-                   if axis not in sub]
-        if missing:
+        if "workers" not in sub:
             raise SystemExit(
                 "refusing to record entry %r: sub-result %r reports "
-                "runs_per_sec without its %s axis"
-                % (label, name, "/".join(missing)))
+                "runs_per_sec without its workers axis" % (label, name))
 
 
 def merge_into(path: str, label: str, results: dict,

@@ -17,7 +17,6 @@ engine verbs drive anything registered::
     python -m repro run slo-chaos --scale small --sample-every 5000 \\
         --flight-recorder flights/ --out slo.json
     python -m repro report slo.json
-    python -m repro run table1 --scale small --branch-at injection
     python -m repro snapshot netfaults --runs-per-scenario 1 \\
         --at 4000 --run 2 --out nf.snapshot.json
     python -m repro run netfaults --runs-per-scenario 1 \\
@@ -67,30 +66,26 @@ def _progress_printer(experiment, total: int) -> Optional[Callable]:
     return progress
 
 
-def _execute(experiment, spec, *, workers: int,
-             out: Optional[str] = None,
-             journal: Optional[str] = None,
-             forkserver: bool = True,
-             telemetry: bool = False,
-             trace: Optional[str] = None,
-             sample_every: Optional[float] = None,
-             flight_dir: Optional[str] = None,
-             shards: Optional[int] = None,
-             shard_schedule: Optional[str] = None,
-             branch: bool = False,
-             from_snapshot: Optional[str] = None):
+def _execute(experiment, spec, args, telemetry: bool = False):
+    """Run ``spec`` with the common options parsed into ``args``.
+
+    Legacy verbs declare only some of the common options, so each one
+    is read with its default when absent.
+    """
     from .ckpt.snapshot import SnapshotMismatch
     from .exp.runner import JournalMismatch, run_experiment
 
+    out = getattr(args, "out", None)
+    trace = getattr(args, "trace", None)
     try:
         result = run_experiment(
-            spec, workers=workers,
+            spec, workers=getattr(args, "workers", 1),
             progress=_progress_printer(experiment, spec.runs),
-            journal_path=journal, forkserver=forkserver,
+            journal_path=getattr(args, "journal", None),
             telemetry=telemetry, trace=trace is not None,
-            sample_every=sample_every, flight_dir=flight_dir,
-            shards=shards, shard_schedule=shard_schedule,
-            branch=branch, from_snapshot=from_snapshot)
+            sample_every=getattr(args, "sample_every", None),
+            flight_dir=getattr(args, "flight_recorder", None),
+            from_snapshot=getattr(args, "from_snapshot", None))
     except (JournalMismatch, SnapshotMismatch) as exc:
         raise SystemExit("error: %s" % exc)
     if out:
@@ -117,20 +112,7 @@ def _run_registered(experiment, args) -> str:
     params = {option.dest: getattr(args, option.dest)
               for option in experiment.options}
     spec = experiment.build_spec(params)
-    trace = getattr(args, "trace", None)
-    result = _execute(experiment, spec,
-                      workers=getattr(args, "workers", 1),
-                      out=getattr(args, "out", None),
-                      journal=getattr(args, "journal", None),
-                      forkserver=not getattr(args, "no_forkserver", False),
-                      trace=trace,
-                      sample_every=getattr(args, "sample_every", None),
-                      flight_dir=getattr(args, "flight_recorder", None),
-                      shards=getattr(args, "shards", None),
-                      shard_schedule=getattr(args, "shard_schedule", None),
-                      branch=getattr(args, "branch_at", None) == "injection",
-                      from_snapshot=getattr(args, "from_snapshot", None))
-    return result.rendered
+    return _execute(experiment, spec, args).rendered
 
 
 def _add_common_options(parser) -> None:
@@ -141,11 +123,6 @@ def _add_common_options(parser) -> None:
     parser.add_argument("--journal", default=None, metavar="PATH",
                         help="checkpoint outcomes here; rerunning the "
                              "same spec resumes from it")
-    parser.add_argument("--no-forkserver", action="store_true",
-                        dest="no_forkserver",
-                        help="force the spawn-per-run path instead of "
-                             "the fork-server boot snapshots "
-                             "(REPRO_FORKSERVER=0 does the same)")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="capture per-run event traces and write a "
                              "Chrome-trace JSON here (load in Perfetto "
@@ -162,26 +139,6 @@ def _add_common_options(parser) -> None:
                              "(SLO breach, deadlock, exception) dump "
                              "their recent-event ring plus an anomaly-"
                              "instant snapshot into DIR")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="shard each simulated cluster across N "
-                             "per-node event wheels (execution mode "
-                             "only: results are byte-identical at "
-                             "equal seeds; REPRO_SHARDS does the same)")
-    parser.add_argument("--shard-schedule", default=None,
-                        dest="shard_schedule",
-                        choices=("merged", "windowed", "threads"),
-                        help="how sharded wheels are driven: merged "
-                             "(deterministic single-process, default), "
-                             "windowed (conservative lookahead rounds), "
-                             "or threads (windowed on a thread pool)")
-    parser.add_argument("--branch-at", default=None, dest="branch_at",
-                        choices=("injection", "stage"),
-                        help="fan runs out from one shared live prefix: "
-                             "'injection' boots each branch group once "
-                             "and forks every run at its fault gate "
-                             "(byte-identical results; experiments "
-                             "without a brancher fall back), 'stage' "
-                             "keeps the fork-server boot sharing")
     parser.add_argument("--from-snapshot", default=None,
                         dest="from_snapshot", metavar="PATH",
                         help="restore this snapshot's pinned run from "
@@ -247,16 +204,7 @@ def _parse_engine_argv(prog: str, argv: List[str],
 
 def _cmd_run(argv: List[str]) -> int:
     experiment, spec, ns = _parse_engine_argv("repro run", argv)
-    result = _execute(experiment, spec, workers=ns.workers, out=ns.out,
-                      journal=ns.journal,
-                      forkserver=not ns.no_forkserver,
-                      trace=ns.trace,
-                      sample_every=ns.sample_every,
-                      flight_dir=ns.flight_recorder,
-                      shards=ns.shards, shard_schedule=ns.shard_schedule,
-                      branch=ns.branch_at == "injection",
-                      from_snapshot=ns.from_snapshot)
-    print(result.rendered)
+    print(_execute(experiment, spec, ns).rendered)
     return 0
 
 
@@ -350,15 +298,7 @@ def _cmd_metrics(argv: List[str]) -> int:
 
     experiment, spec, ns = _parse_engine_argv(
         "repro metrics", argv, add_options=_add_metrics_options)
-    result = _execute(experiment, spec, workers=ns.workers, out=ns.out,
-                      journal=ns.journal,
-                      forkserver=not ns.no_forkserver,
-                      telemetry=True, trace=ns.trace,
-                      sample_every=ns.sample_every,
-                      flight_dir=ns.flight_recorder,
-                      shards=ns.shards, shard_schedule=ns.shard_schedule,
-                      branch=ns.branch_at == "injection",
-                      from_snapshot=ns.from_snapshot)
+    result = _execute(experiment, spec, ns, telemetry=True)
     _print_metrics(result.telemetry,
                    "%s (%d runs)" % (experiment.name, spec.runs),
                    ns.as_json)
@@ -393,17 +333,8 @@ def _cmd_report(argv: List[str]) -> int:
     if saved_doc is None:
         experiment, spec, ns = _parse_engine_argv(
             "repro report", argv, add_options=_add_metrics_options)
-        result = _execute(experiment, spec, workers=ns.workers,
-                          out=ns.out, journal=ns.journal,
-                          forkserver=not ns.no_forkserver,
-                          telemetry=True, trace=ns.trace,
-                          sample_every=ns.sample_every,
-                          flight_dir=ns.flight_recorder,
-                          shards=ns.shards,
-                          shard_schedule=ns.shard_schedule,
-                          branch=ns.branch_at == "injection",
-                          from_snapshot=ns.from_snapshot)
-        saved_doc = result.to_doc()
+        saved_doc = _execute(experiment, spec, ns,
+                             telemetry=True).to_doc()
     report = campaign_report_doc(saved_doc)
     if ns.as_json:
         print(json.dumps(report, indent=2, sort_keys=True))

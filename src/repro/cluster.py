@@ -8,83 +8,16 @@ need starts from here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Generator, List, Optional, Tuple
+from typing import Generator, List, Optional
 
 from .hw.host import Host
 from .hw.nic import Nic
-from .net.fabric import Fabric, clos_dimensions, fat_tree_dimensions
+from .net.fabric import Fabric
 from .net.mapper import make_mapper
-from .sim import SeededRng, ShardedScheduler, Simulator, Tracer
-from .sim import shards_from_env
+from .sim import SeededRng, Simulator, Tracer
 
-__all__ = ["Node", "MyrinetCluster", "ShardPlan", "plan_shards",
-           "build_cluster", "build_cluster_from_spec"]
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """Deterministic node→shard assignment for one cluster.
-
-    ``node_shard[i]`` is the wheel index of node ``i``; the fabric
-    (every switch plus the fault plane) runs on wheel ``fabric_shard``.
-    With more than one node shard the fabric gets a dedicated wheel —
-    switches sit between nodes, so co-locating them with one node would
-    make every other node's traffic cross two boundaries into a wheel
-    that is also busy with host work.  ``colocate_fabric=True`` folds it
-    onto wheel 0 instead (the co-located layout the partitioner tests
-    exercise).
-    """
-
-    n_shards: int
-    node_shard: Tuple[int, ...]
-    fabric_shard: int
-    n_wheels: int
-
-    def wheel_of(self, node_id: int) -> int:
-        return self.node_shard[node_id]
-
-
-def plan_shards(n_nodes: int, shards: int,
-                colocate_fabric: bool = False,
-                rack_span: Optional[int] = None) -> ShardPlan:
-    """Partition ``n_nodes`` nodes over at most ``shards`` shards.
-
-    Nodes are assigned in balanced contiguous blocks (``i * s // n``),
-    which keeps node 0 — the boot/mapper node — on wheel 0 and mirrors
-    the fabric's contiguous NIC placement, so neighbouring nodes tend to
-    share a shard.  Asking for more shards than nodes clamps.
-
-    ``rack_span`` makes the plan topology-aware: with hosts packed onto
-    leaf/edge switches in blocks of ``rack_span`` (the Clos and fat-tree
-    placement), shard boundaries snap to rack boundaries so no rack
-    straddles two wheels — the fabric builder then co-locates each leaf
-    switch with its rack's wheel and only leaf-spine uplinks (which have
-    wire latency, i.e. lookahead) cross shards.  Shards clamp to the
-    rack count.
-    """
-    if n_nodes < 1:
-        raise ValueError("need at least one node")
-    if shards < 1:
-        raise ValueError("need at least one shard, got %r" % (shards,))
-    if rack_span is not None and rack_span < 1:
-        raise ValueError("rack_span must be >= 1, got %r" % (rack_span,))
-    shards = min(shards, n_nodes)
-    if rack_span is None or shards == 1:
-        node_shard = tuple(i * shards // n_nodes for i in range(n_nodes))
-    else:
-        n_racks = -(-n_nodes // rack_span)
-        shards = min(shards, n_racks)
-        node_shard = tuple((i // rack_span) * shards // n_racks
-                           for i in range(n_nodes))
-    if shards == 1 or colocate_fabric:
-        fabric_shard = 0
-        n_wheels = shards
-    else:
-        fabric_shard = shards
-        n_wheels = shards + 1
-    return ShardPlan(n_shards=shards, node_shard=node_shard,
-                     fabric_shard=fabric_shard, n_wheels=n_wheels)
+__all__ = ["Node", "MyrinetCluster", "build_cluster",
+           "build_cluster_from_spec"]
 
 
 class Node:
@@ -109,8 +42,7 @@ class MyrinetCluster:
 
     def __init__(self, sim: Simulator, nodes: List[Node], fabric: Fabric,
                  switch, tracer: Tracer, rng: SeededRng, flavor: str,
-                 topology: str = "star", fabric_sim: Optional[Simulator] = None,
-                 shard_plan: Optional[ShardPlan] = None):
+                 topology: str = "star"):
         self.sim = sim
         self.nodes = nodes
         self.fabric = fabric
@@ -120,10 +52,6 @@ class MyrinetCluster:
         self.rng = rng
         self.flavor = flavor
         self.topology = topology
-        # The wheel that owns the switches (and the netfault plane).
-        # Serial clusters have one wheel, so it is simply ``sim``.
-        self.fabric_sim = fabric_sim if fabric_sim is not None else sim
-        self.shard_plan = shard_plan
         # Continuous-telemetry plane: wired by build_cluster only when
         # the sampling / flight-recorder intents are set; None otherwise.
         self.sampler = None
@@ -198,8 +126,6 @@ def build_cluster(n_nodes: int = 2, flavor: str = "gm", seed: int = 0,
                   topology: str = "star",
                   n_switches: Optional[int] = None,
                   radix: Optional[int] = None,
-                  shards: Optional[int] = None,
-                  shard_schedule: Optional[str] = None,
                   lazy: Optional[bool] = None) -> MyrinetCluster:
     """Build (and by default boot) an N-node Myrinet cluster.
 
@@ -231,46 +157,13 @@ def build_cluster(n_nodes: int = 2, flavor: str = "gm", seed: int = 0,
     clusters boot through the hierarchical mapper and, at
     ``LAZY_AUTO_THRESHOLD`` nodes or more, default to lazy node parking
     (``lazy``/``REPRO_LAZY`` override).
-
-    ``shards`` selects the execution mode (not part of the experiment's
-    identity — results are byte-identical at equal seeds): ``1`` is the
-    historical single-wheel simulator; ``N > 1`` gives every node shard
-    its own event wheel plus a dedicated fabric wheel, coordinated by a
-    :class:`repro.sim.ShardedScheduler` under ``shard_schedule``
-    ("merged", "windowed" or "threads").  Defaults come from
-    ``REPRO_SHARDS`` / ``REPRO_SHARD_SCHEDULE`` so the experiment engine
-    can set the mode once for serial, pool and fork-server children.
     """
     if n_nodes < 2:
         raise ValueError("a cluster needs at least 2 nodes")
     if topology not in ("star", "ring", "tree", "clos", "fat-tree"):
         raise ValueError("unknown topology %r (use star, ring, tree, "
                          "clos or fat-tree)" % (topology,))
-    env_shards, env_schedule = shards_from_env()
-    if shards is None:
-        shards = env_shards
-    if shard_schedule is None:
-        shard_schedule = env_schedule
-    rack_span: Optional[int] = None
-    if topology == "clos":
-        rack_span = clos_dimensions(n_nodes, n_switches or 2,
-                                    radix or 8)[0]
-    elif topology == "fat-tree":
-        rack_span = fat_tree_dimensions(n_nodes, radix or 8)[0]
-    plan: Optional[ShardPlan] = None
-    if shards > 1:
-        plan = plan_shards(n_nodes, shards, rack_span=rack_span)
-    if plan is not None and plan.n_wheels > 1:
-        scheduler = ShardedScheduler(plan.n_wheels, schedule=shard_schedule)
-        sim: Simulator = scheduler
-        wheels = scheduler.wheels
-        node_sim = [wheels[plan.node_shard[i]] for i in range(n_nodes)]
-        fabric_sim = wheels[plan.fabric_shard]
-    else:
-        plan = None
-        sim = Simulator()
-        node_sim = [sim] * n_nodes
-        fabric_sim = sim
+    sim = Simulator()
     from .obs import runtime as obs_runtime
     if trace:
         tracer = Tracer(enabled=True)
@@ -292,15 +185,14 @@ def build_cluster(n_nodes: int = 2, flavor: str = "gm", seed: int = 0,
     driver_cls = _driver_class(flavor)
     interpreted = set(interpreted_nodes or [])
 
-    fabric = Fabric(fabric_sim, tracer)
+    fabric = Fabric(sim, tracer)
     nodes: List[Node] = []
     nics: List[Nic] = []
     for node_id in range(n_nodes):
-        wheel = node_sim[node_id]
-        host = Host(wheel, "host%d" % node_id, tracer)
-        nic = Nic(wheel, host, node_id, tracer=tracer)
+        host = Host(sim, "host%d" % node_id, tracer)
+        nic = Nic(sim, host, node_id, tracer=tracer)
         nics.append(nic)
-        driver = driver_cls(wheel, host, nic, tracer,
+        driver = driver_cls(sim, host, nic, tracer,
                             interpreted=node_id in interpreted)
         nodes.append(Node(node_id, host, nic, driver))
     if topology == "star":
@@ -330,8 +222,7 @@ def build_cluster(n_nodes: int = 2, flavor: str = "gm", seed: int = 0,
             node.driver.start_ftd()
 
     cluster = MyrinetCluster(sim, nodes, fabric, switch, tracer, rng, flavor,
-                             topology=topology, fabric_sim=fabric_sim,
-                             shard_plan=plan)
+                             topology=topology)
     cluster.flight = flight
     every = obs_runtime.sample_every()
     if every is not None:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import asdict
 from typing import Any, Dict, List
 
-from ..ckpt.branch import Brancher
 from ..faults.campaign import (
     CampaignResult,
     aggregate_effectiveness,
@@ -26,9 +25,6 @@ from ..faults.campaign import (
 from ..faults.injector import (
     InjectionConfig,
     boot_injection,
-    injection_family,
-    injection_group,
-    plan_injection_runs,
     resume_injection,
     run_injection,
 )
@@ -42,7 +38,6 @@ from ..load.chaos import (
     boot_slo_chaos,
     resume_slo_chaos,
     run_slo_chaos,
-    slo_chaos_family,
 )
 from ..load.profiles import PROFILE_NAMES
 from ..load.slo import SloSpec
@@ -52,9 +47,6 @@ from ..netfaults.campaign import (
     NetFaultConfig,
     NetFaultOutcome,
     boot_netfault,
-    netfault_family,
-    netfault_group,
-    plan_netfault_runs,
     resume_netfault,
     run_netfault_injection,
 )
@@ -63,10 +55,7 @@ from ..netfaults.clos import (
     ClosFaultCampaignResult,
     ClosFaultConfig,
     boot_closfault,
-    closfault_family,
-    closfault_group,
     cross_fabric_pairs,
-    plan_closfault_runs,
     resume_closfault,
     run_closfault_injection,
 )
@@ -99,12 +88,10 @@ def _identity(rendered: str) -> str:
     return rendered
 
 
-# -- checkpoint / branch hooks -------------------------------------------------
+# -- checkpoint hooks ----------------------------------------------------------
 #
 # ``pause`` runs a booted run to a simulated instant and hands back a
-# PausedRun (the hook behind ``repro snapshot``); a ``Brancher`` drives
-# one shared prefix per group and forks a child per run at its gate (the
-# hook behind ``repro run --branch-at injection``).  Module-level defs,
+# PausedRun (the hook behind ``repro snapshot``).  Module-level defs,
 # like every other registered callable.
 
 
@@ -112,39 +99,12 @@ def _injection_pause(state, config, at):
     return resume_injection(state, config, pause_at=at)
 
 
-def _injection_parent(state, config, controller):
-    return resume_injection(state, config, branch=controller)
-
-
-_INJECTION_BRANCHER = Brancher(group=injection_group,
-                               plan=plan_injection_runs,
-                               parent=_injection_parent)
-
-
 def _netfault_pause(state, config, at):
     return resume_netfault(state, config, pause_at=at)
 
 
-def _netfault_parent(state, config, controller):
-    return resume_netfault(state, config, branch=controller)
-
-
-_NETFAULT_BRANCHER = Brancher(group=netfault_group,
-                              plan=plan_netfault_runs,
-                              parent=_netfault_parent)
-
-
 def _closfault_pause(state, config, at):
     return resume_closfault(state, config, pause_at=at)
-
-
-def _closfault_parent(state, config, controller):
-    return resume_closfault(state, config, branch=controller)
-
-
-_CLOSFAULT_BRANCHER = Brancher(group=closfault_group,
-                               plan=plan_closfault_runs,
-                               parent=_closfault_parent)
 
 
 def _slo_chaos_pause(state, config, at):
@@ -220,9 +180,7 @@ register(Experiment(
     progress_fmt="  ... %d/%d runs",
     boot=boot_injection,
     resume=resume_injection,
-    boot_family=injection_family,
     pause=_injection_pause,
-    brancher=_INJECTION_BRANCHER,
 ))
 
 
@@ -252,9 +210,7 @@ register(Experiment(
                     ("small", "full"))),
     boot=boot_injection,
     resume=resume_injection,
-    boot_family=injection_family,
     pause=_injection_pause,
-    brancher=_INJECTION_BRANCHER,
 ))
 
 
@@ -295,9 +251,7 @@ register(Experiment(
                     ("small", "full"))),
     boot=boot_injection,
     resume=resume_injection,
-    boot_family=injection_family,
     pause=_injection_pause,
-    brancher=_INJECTION_BRANCHER,
 ))
 
 
@@ -370,9 +324,7 @@ register(Experiment(
     progress_fmt="  ... %d runs done",
     boot=boot_netfault,
     resume=resume_netfault,
-    boot_family=netfault_family,
     pause=_netfault_pause,
-    brancher=_NETFAULT_BRANCHER,
 ))
 
 
@@ -476,9 +428,7 @@ register(Experiment(
     progress_fmt="  ... %d/%d runs",
     boot=boot_closfault,
     resume=resume_closfault,
-    boot_family=closfault_family,
     pause=_closfault_pause,
-    brancher=_CLOSFAULT_BRANCHER,
 ))
 
 
@@ -588,7 +538,6 @@ register(Experiment(
     progress_fmt="  ... %d/%d runs",
     boot=boot_slo_chaos,
     resume=resume_slo_chaos,
-    boot_family=slo_chaos_family,
     pause=_slo_chaos_pause,
 ))
 

@@ -38,7 +38,6 @@ __all__ = [
     "bench_fabric_scaling",
     "bench_closfault",
     "bench_snapshot",
-    "bench_branch_latefault",
     "run_bench",
     "run_all",
     "environment_info",
@@ -245,69 +244,18 @@ def bench_fabric_hops(nodes: int = 64, radix: int = 8,
     }
 
 
-def _shard_env(shards, shard_schedule):
-    """Resolve the shard axes and the env overrides that select them.
-
-    Sharding is pure execution mode (never part of a spec), so the
-    benchmarks thread it through ``REPRO_SHARDS``/``REPRO_SHARD_SCHEDULE``
-    exactly like the runner does; ``None`` inherits whatever the caller's
-    environment already says.
-    """
-    from ..sim.shard import shards_from_env
-
-    env_shards, env_schedule = shards_from_env()
-    shards = env_shards if shards is None else shards
-    shard_schedule = env_schedule if shard_schedule is None \
-        else shard_schedule
-    overrides = {"REPRO_SHARDS": str(shards),
-                 "REPRO_SHARD_SCHEDULE": shard_schedule}
-    return shards, shard_schedule, overrides
-
-
-class _env_overrides:
-    """Temporarily set environment variables (pool children inherit)."""
-
-    def __init__(self, overrides):
-        self.overrides = overrides
-        self.saved = {}
-
-    def __enter__(self):
-        for key, value in self.overrides.items():
-            self.saved[key] = os.environ.get(key)
-            os.environ[key] = value
-
-    def __exit__(self, *exc):
-        for key, prior in self.saved.items():
-            if prior is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = prior
-
-
 def bench_campaign(runs: int = 200, workers: int = 1, seed: int = 2003,
-                   messages: int = 16, shards: int = None,
-                   shard_schedule: str = None,
-                   branch: bool = False) -> dict:
-    """Wall clock of a Table 1 campaign (the paper-scale workload).
-
-    ``branch=True`` runs the same campaign through the branch-at-
-    injection executor (one shared live prefix per group, one forked
-    child per run) — same outcomes, the A side of the pr9 ledger entry.
-    """
+                   messages: int = 16) -> dict:
+    """Wall clock of a Table 1 campaign (the paper-scale workload)."""
     from ..faults import run_campaign
 
-    shards, shard_schedule, overrides = _shard_env(shards, shard_schedule)
     t0 = time.perf_counter()
-    with _env_overrides(overrides):
-        result = run_campaign(runs=runs, seed=seed, messages=messages,
-                              workers=workers, branch=branch)
+    result = run_campaign(runs=runs, seed=seed, messages=messages,
+                          workers=workers)
     wall = time.perf_counter() - t0
     return {
         "runs": runs,
         "workers": workers,
-        "shards": shards,
-        "shard_schedule": shard_schedule,
-        "branch": branch,
         "wall_s": round(wall, 3),
         "runs_per_sec": round(runs / wall, 3),
         "counts": dict(result.counts),
@@ -315,33 +263,22 @@ def bench_campaign(runs: int = 200, workers: int = 1, seed: int = 2003,
 
 
 def bench_netfaults(runs_per_scenario: int = 1, workers: int = 1,
-                    nodes: int = 4, shards: int = None,
-                    shard_schedule: str = None) -> dict:
-    """Wall clock of the §6 network-fault campaign at a shard count.
-
-    This is the sharding benchmark: a 4-node cluster with per-node
-    wheels is the workload the shard scheduler was built for, so the
-    1/2/4/8-shard scaling curve in ``BENCH_perf.json`` comes from here.
-    """
+                    nodes: int = 4) -> dict:
+    """Wall clock of the §6 network-fault campaign."""
     from .registry import get_experiment
     from .runner import run_experiment
 
     experiment = get_experiment("netfaults")
     spec = experiment.build_spec({"runs_per_scenario": runs_per_scenario,
                                   "nodes": nodes})
-    shards, shard_schedule, _ = _shard_env(shards, shard_schedule)
     t0 = time.perf_counter()
-    result = run_experiment(spec, workers=workers, shards=shards,
-                            shard_schedule=shard_schedule)
+    result = run_experiment(spec, workers=workers)
     wall = time.perf_counter() - t0
     counts = {scenario: sum(row.values())
               for scenario, row in result.summary["counts"].items()}
     return {
         "runs": spec.runs,
         "workers": workers,
-        "shards": shards,
-        "shard_schedule": shard_schedule,
-        "branch": False,
         "nodes": nodes,
         "wall_s": round(wall, 3),
         "runs_per_sec": round(spec.runs / wall, 3),
@@ -351,8 +288,7 @@ def bench_netfaults(runs_per_scenario: int = 1, workers: int = 1,
 
 def bench_loadgen(clients: int = 8, nodes: int = 4,
                   peak_rate: float = 4_000.0,
-                  duration_us: float = 400_000.0,
-                  shards: int = None, shard_schedule: str = None) -> dict:
+                  duration_us: float = 400_000.0) -> dict:
     """Load-generator throughput: schedule expansion + one driven run.
 
     Reports the pure :func:`~repro.load.generator.build_schedule`
@@ -366,23 +302,19 @@ def bench_loadgen(clients: int = 8, nodes: int = 4,
     config = LoadConfig(seed=2003, n_nodes=nodes, clients=clients,
                         peak_rate=peak_rate, duration_us=duration_us,
                         drain_us=200_000.0)
-    shards, shard_schedule, overrides = _shard_env(shards, shard_schedule)
     t0 = time.perf_counter()
     schedule = build_schedule(config)
     schedule_wall = time.perf_counter() - t0
-    with _env_overrides(overrides):
-        cluster = build_cluster(n_nodes=nodes, flavor="ftgm")
-        t1 = time.perf_counter()
-        result = run_load(cluster, config, schedule=schedule)
-        drive_wall = time.perf_counter() - t1
+    cluster = build_cluster(n_nodes=nodes, flavor="ftgm")
+    t1 = time.perf_counter()
+    result = run_load(cluster, config, schedule=schedule)
+    drive_wall = time.perf_counter() - t1
     offered = len(schedule.ops)
     return {
         "clients": clients,
         "nodes": nodes,
         "offered_msgs": offered,
         "delivered_msgs": len(result.first_delivery),
-        "shards": shards,
-        "shard_schedule": shard_schedule,
         "schedule_wall_s": round(schedule_wall, 4),
         "schedule_msgs_per_sec": round(offered / schedule_wall, 1),
         "drive_wall_s": round(drive_wall, 3),
@@ -390,25 +322,19 @@ def bench_loadgen(clients: int = 8, nodes: int = 4,
     }
 
 
-def bench_slo_chaos(runs_per_cell: int = 1, workers: int = 1,
-                    shards: int = None, shard_schedule: str = None) -> dict:
+def bench_slo_chaos(runs_per_cell: int = 1, workers: int = 1) -> dict:
     """Wall clock of the full 10-cell SLO-graded chaos campaign."""
     from .registry import get_experiment
     from .runner import run_experiment
 
     experiment = get_experiment("slo-chaos")
     spec = experiment.build_spec({"runs_per_cell": runs_per_cell})
-    shards, shard_schedule, _ = _shard_env(shards, shard_schedule)
     t0 = time.perf_counter()
-    result = run_experiment(spec, workers=workers, shards=shards,
-                            shard_schedule=shard_schedule)
+    result = run_experiment(spec, workers=workers)
     wall = time.perf_counter() - t0
     return {
         "runs": spec.runs,
         "workers": workers,
-        "shards": shards,
-        "shard_schedule": shard_schedule,
-        "branch": False,
         "wall_s": round(wall, 3),
         "runs_per_sec": round(spec.runs / wall, 3),
         "verdicts": dict(result.summary["verdicts"]),
@@ -479,17 +405,13 @@ def bench_fabric_scaling(sizes=(8, 64, 128, 256), radix: int = 8,
 
 def bench_closfault(runs_per_cell: int = 1, workers: int = 1,
                     nodes: int = 64, radix: int = 8,
-                    scale: str = "full", shards: int = None,
-                    shard_schedule: str = None,
-                    branch: bool = False) -> dict:
+                    scale: str = "full") -> dict:
     """Wall clock of the correlated-fault campaign on a fat-tree fabric.
 
     The large-fabric analogue of :func:`bench_netfaults`: compound
     scenarios (rack loss, spine loss, cascades, repair flaps) on a
     multi-tier fabric, dominated by the 3-tier boot+map and the
     detector-driven recovery rather than by raw packet counts.
-    ``branch=True`` shares one booted fabric + pre-fault prefix per
-    branch group and forks each run at its fault time (the pr9 A side).
     """
     from .registry import get_experiment
     from .runner import run_experiment
@@ -498,19 +420,14 @@ def bench_closfault(runs_per_cell: int = 1, workers: int = 1,
     spec = experiment.build_spec({"runs_per_cell": runs_per_cell,
                                   "nodes": nodes, "radix": radix,
                                   "scale": scale})
-    shards, shard_schedule, _ = _shard_env(shards, shard_schedule)
     t0 = time.perf_counter()
-    result = run_experiment(spec, workers=workers, shards=shards,
-                            shard_schedule=shard_schedule, branch=branch)
+    result = run_experiment(spec, workers=workers)
     wall = time.perf_counter() - t0
     counts = {scenario: sum(row.values())
               for scenario, row in result.summary["counts"].items()}
     return {
         "runs": spec.runs,
         "workers": workers,
-        "shards": shards,
-        "shard_schedule": shard_schedule,
-        "branch": branch,
         "nodes": nodes,
         "radix": radix,
         "wall_s": round(wall, 3),
@@ -554,62 +471,6 @@ def bench_snapshot(sizes=(8, 64, 256), at_us: float = 4_000.0) -> dict:
     return {"at_us": at_us, "points": points}
 
 
-def bench_branch_latefault(runs: int = 6, nodes: int = 64,
-                           radix: int = 8, n_pairs: int = 8,
-                           messages: int = 30,
-                           message_gap_us: float = 1_500.0,
-                           fault_at_us: float = 42_000.0) -> dict:
-    """Branch-at-injection in its design regime: busy fabric, late fault.
-
-    One rack-loss/ftgm cell where the pre-fault window is genuinely
-    expensive — ``n_pairs`` cross-fabric flows pace ``messages``
-    messages each over a big fat-tree and the fault lands near the end
-    of the stream — measured cold (fork-server, the pr8 executor) and
-    branched (one shared live prefix, a forked child per run) over the
-    same configs.  Both legs produce byte-identical outcomes; on the
-    default closfault/table1 grids the pre-fault window is already
-    nearly free (tickless fold + lazy parking), so this is where the
-    executor's prefix sharing actually shows up on the clock.
-    """
-    from ..faults.campaign import derive_run_seed
-    from ..netfaults.clos import ClosFaultConfig, cross_fabric_pairs
-    from .registry import get_experiment
-    from .runner import ForkBoot, run_branched, run_many
-
-    experiment = get_experiment("closfault")
-    pairs = tuple(cross_fabric_pairs(nodes, "fat-tree", radix,
-                                     n_pairs=n_pairs))
-    configs = [ClosFaultConfig(run_id=i, seed=derive_run_seed(2003, i),
-                               scenario="rack-loss/ftgm", flavor="ftgm",
-                               n_nodes=nodes, topology="fat-tree",
-                               radix=radix, pairs=pairs,
-                               messages=messages,
-                               message_gap_us=message_gap_us,
-                               fault_at_us=fault_at_us)
-               for i in range(runs)]
-    fork_boot = ForkBoot(family=experiment.boot_family or (lambda c: 0),
-                         boot=experiment.boot, resume=experiment.resume)
-    t0 = time.perf_counter()
-    run_many(configs, experiment.run_one, workers=1, fork_boot=fork_boot)
-    t1 = time.perf_counter()
-    run_branched(configs, experiment)
-    t2 = time.perf_counter()
-    cold_wall, branch_wall = t1 - t0, t2 - t1
-    return {
-        "runs": runs,
-        "workers": 1,
-        "shards": 1,
-        "branch": True,
-        "nodes": nodes,
-        "fault_at_us": fault_at_us,
-        "cold_wall_s": round(cold_wall, 3),
-        "branch_wall_s": round(branch_wall, 3),
-        "cold_runs_per_sec": round(runs / cold_wall, 3),
-        "runs_per_sec": round(runs / branch_wall, 3),
-        "speedup": round(cold_wall / branch_wall, 2),
-    }
-
-
 def _best(bench, rate_key: str, samples: int = 3) -> dict:
     """Best-of-N: the machine's fastest run is its least-disturbed one."""
     results = [bench() for _ in range(samples)]
@@ -645,10 +506,6 @@ def run_bench(config: Dict[str, Any]) -> dict:
                               config.get("campaign_workers", 1))
     if name == "snapshot":
         return bench_snapshot(sizes=(8,) if quick else (8, 64, 256))
-    if name == "branch_latefault":
-        return bench_branch_latefault(runs=2 if quick else 6,
-                                      nodes=16 if quick else 64,
-                                      radix=4 if quick else 8)
     raise ValueError("unknown benchmark %r (have: %s)"
                      % (name, ", ".join(BENCH_NAMES)))
 
@@ -701,12 +558,4 @@ def render_results(results: Dict[str, Any]) -> str:
                 "%.1f KiB state"
                 % ("snapshot", point["nodes"], point["snapshot_wall_s"],
                    point["restore_wall_s"], point["state_bytes"] / 1024.0))
-    latefault = results.get("branch_latefault")
-    if latefault:
-        lines.append(
-            "%-18s cold %.2f runs/sec, branched %.2f runs/sec (%.2fx, "
-            "%d runs on %d nodes)"
-            % ("branch_latefault", latefault["cold_runs_per_sec"],
-               latefault["runs_per_sec"], latefault["speedup"],
-               latefault["runs"], latefault["nodes"]))
     return "\n".join(lines)

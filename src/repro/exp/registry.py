@@ -71,23 +71,16 @@ class Experiment:
     options: Tuple[Option, ...] = ()
     progress_every: int = 0           # 0 = no progress lines on stderr
     progress_fmt: str = "  ... %d/%d runs"
-    # Fork-server support (optional): the seed-independent shared boot
-    # prefix of a run and its continuation.  ``run_one`` must equal
-    # ``resume(boot(config), config)`` exactly; ``boot_family`` groups
-    # configs that share one boot (default: all of them).
+    # Boot/resume split (optional): the cluster bring-up of a run and its
+    # continuation.  ``run_one`` must equal ``resume(boot(config),
+    # config)`` exactly; the engine runs the split form, so boot and run
+    # are separate calls (and separate spans in a profile).
     boot: Optional[Callable[[Any], Any]] = None
     resume: Optional[Callable[[Any, Any], Any]] = None
-    boot_family: Optional[Callable[[Any], Any]] = None
     # Checkpoint support (optional): ``pause(state, config, at)`` runs a
     # booted run up to simulated time ``at`` and returns a
     # ``repro.ckpt.PausedRun`` — the hook behind ``repro snapshot``.
     pause: Optional[Callable[[Any, Any, float], Any]] = None
-    # Branch-at-injection support (optional): a ``Brancher`` whose
-    # ``group(config)`` keys configs sharing one common prefix,
-    # ``plan(state, configs)`` resolves each run's fork gate, and
-    # ``parent(state, config, controller)`` drives the shared prefix,
-    # forking one child per run at its gate (see repro.ckpt.branch).
-    brancher: Optional[Any] = None
 
 
 _REGISTRY: Dict[str, Experiment] = {}

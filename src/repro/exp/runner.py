@@ -4,13 +4,11 @@
 privately: every config runs hermetically (its own ``Simulator``, its
 own seed), outcomes come back ordered by config index, and progress is
 reported as **monotonic completed-count ticks** — ``1, 2, ..., N``
-exactly once each — under ``workers=1`` and ``workers>1`` alike.
-Experiments that declare a :class:`ForkBoot` (a seed-independent shared
-boot prefix plus a per-run resume) additionally run on a **fork-server**
-where available: the prefix boots once per scenario family in a server
-process and each run is an ``os.fork()`` copy-on-write child, which
-amortizes identical cluster bring-up across hundreds of runs while
-staying byte-identical to spawn-per-run.
+exactly once each — under ``workers=1`` and ``workers>1`` alike.  There
+are two executors: a serial loop in this process, and a process pool
+(``fork`` where the platform has it, its default start method
+otherwise).  Every run is reclaimed before the next one starts, so a
+serial campaign holds one cluster at a time.
 
 :func:`run_experiment` drives a whole declarative experiment: expand the
 spec through its registry entry, fan the configs out, journal each
@@ -33,29 +31,21 @@ header whose ``spec_hash`` does not match the spec being resumed raises
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import os
-import pickle
-import selectors
-import struct
 import time
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from ..sim.shard import SCHEDULES
 from .results import ExperimentResult, RunManifest, encode_outcome
 from .spec import ExperimentSpec
 
 __all__ = [
     "derive_run_seed",
     "run_many",
-    "run_branched",
     "run_experiment",
-    "branch_supported",
-    "ForkBoot",
-    "forkserver_available",
     "Journal",
     "JournalMismatch",
 ]
@@ -149,25 +139,41 @@ class _Ticker:
 
 
 def _invoke(runner: Callable[[Any], Any], item):
+    """Run one ``(index, config)`` item, then reclaim what it built.
+
+    A finished cluster is a web of reference cycles that holds 2 MB of
+    SRAM per NIC; left to the cyclic collector it survives until a
+    generation-2 pass, long after the next run has booted.  Collecting
+    here bounds a serial campaign (and each pool worker) to one live
+    cluster.
+    """
     index, config = item
-    return index, runner(config)
+    outcome = runner(config)
+    gc.collect()
+    return index, outcome
+
+
+def _boot_and_resume(boot: Callable[[Any], Any],
+                     resume: Callable[[Any, Any], Any], config: Any) -> Any:
+    """One run of an experiment registered with a boot/resume split."""
+    return resume(boot(config), config)
 
 
 # -- telemetry wrapping --------------------------------------------------------
 #
 # When the CLI asks for metrics (`repro metrics`) or per-run traces
-# (`--trace`), run_experiment swaps the registered run_one/resume for
-# these wrappers via functools.partial — run_many itself is untouched,
-# and with telemetry off no wrapper exists at all, so the hot path is
-# byte-for-byte the pre-telemetry code.
+# (`--trace`), run_experiment wraps the run function in
+# _telemetry_invoke via functools.partial — run_many itself is
+# untouched, and with telemetry off no wrapper exists at all, so the hot
+# path is byte-for-byte the pre-telemetry code.
 
 
 class _TelemetryEnvelope:
     """A run's outcome plus its telemetry sidecar.
 
-    Picklable (it crosses the pool and fork-server pipes) and
-    unambiguous: no experiment outcome is an instance of this class, so
-    unwrapping is a plain isinstance check.  Journal-resumed outcomes
+    Picklable (it crosses the pool's pipes) and unambiguous: no
+    experiment outcome is an instance of this class, so unwrapping is a
+    plain isinstance check.  Journal-resumed outcomes
     are *not* enveloped — their runs were computed in an earlier
     process, so their telemetry is absent by construction.
     """
@@ -193,9 +199,9 @@ def _flight_payload(flight_dir: Optional[str],
                     outcome: Any) -> Optional[Dict[str, Any]]:
     """Classify the finished run; a triggered ring report or None.
 
-    Runs in the run's own process (serial, pool worker or forked
-    child), where the ring and the outcome both live; the parent takes
-    the anomaly-instant snapshot later, from the report's ``at_us``.
+    Runs in the run's own process (serial or pool worker), where the
+    ring and the outcome both live; the parent takes the anomaly-instant
+    snapshot later, from the report's ``at_us``.
     """
     if flight_dir is None:
         return None
@@ -213,7 +219,7 @@ def _flight_payload(flight_dir: Optional[str],
 
 def _flight_exception(flight_dir: Optional[str], config: Any,
                       exc: BaseException) -> None:
-    """Best-effort ring dump for a run that raised (child side)."""
+    """Best-effort ring dump for a run that raised (run side)."""
     if flight_dir is None:
         return
     from ..obs import runtime as obs_runtime
@@ -228,18 +234,23 @@ def _flight_exception(flight_dir: Optional[str], config: Any,
         pass
 
 
-def _telemetry_invoke(run_one: Callable[[Any], Any], metrics: bool,
+def _telemetry_invoke(runner: Callable[[Any], Any], metrics: bool,
                       tracing: bool, sample_every: Optional[float],
                       flight_dir: Optional[str],
                       config: Any) -> "_TelemetryEnvelope":
-    """run_one, bracketed by a per-run telemetry scope."""
+    """One run, bracketed by a per-run telemetry scope.
+
+    The intent flags are set before ``runner`` boots anything, in the
+    run's own process, so a pool worker started by ``spawn`` builds the
+    same tracer, sampler and flight ring as the serial loop.
+    """
     from ..obs import runtime as obs_runtime
 
     obs_runtime.configure(metrics=metrics, tracing=tracing,
                           sample_every=sample_every, flight_dir=flight_dir)
     obs_runtime.begin_run()
     try:
-        outcome = run_one(config)
+        outcome = runner(config)
     except BaseException as exc:
         _flight_exception(flight_dir, config, exc)
         raise
@@ -247,359 +258,13 @@ def _telemetry_invoke(run_one: Callable[[Any], Any], metrics: bool,
                               obs_runtime.take_trace(),
                               obs_runtime.take_timeseries(),
                               _flight_payload(flight_dir, outcome))
-
-
-def _telemetry_resume(resume: Callable[[Any, Any], Any], metrics: bool,
-                      tracing: bool, sample_every: Optional[float],
-                      flight_dir: Optional[str], state: Any,
-                      config: Any) -> "_TelemetryEnvelope":
-    """Fork-server counterpart of :func:`_telemetry_invoke`."""
-    from ..obs import runtime as obs_runtime
-
-    obs_runtime.configure(metrics=metrics, tracing=tracing,
-                          sample_every=sample_every, flight_dir=flight_dir)
-    obs_runtime.begin_run()
-    try:
-        outcome = resume(state, config)
-    except BaseException as exc:
-        _flight_exception(flight_dir, config, exc)
-        raise
-    return _TelemetryEnvelope(outcome, obs_runtime.collect(),
-                              obs_runtime.take_trace(),
-                              obs_runtime.take_timeseries(),
-                              _flight_payload(flight_dir, outcome))
-
-
-# -- fork-server execution -----------------------------------------------------
-
-
-@dataclass
-class ForkBoot:
-    """The forkable shared prefix of an experiment's runs.
-
-    Every run of a scenario family performs an identical, seed-independent
-    boot (cluster build, MCP load, port bring-up) before anything
-    seed-dependent happens.  A fork-server boots that prefix **once** per
-    family and ``os.fork()``\\ s a copy-on-write child per run; the child
-    seeds its per-run RNG from its own config and finishes the run.  For
-    this to be byte-identical to spawn-per-run, ``boot`` must depend only
-    on the family key — never on the per-run seed — and must not consume
-    any per-run randomness or simulation ids.
-
-    ``family(config)`` maps a config to the hashable key naming its boot.
-    ``boot(config)`` builds the shared state (run in the server process).
-    ``resume(state, config)`` completes one run (run in a forked child).
-    """
-
-    family: Callable[[Any], Any]
-    boot: Callable[[Any], Any]
-    resume: Callable[[Any, Any], Any]
-
-
-def forkserver_available() -> bool:
-    """True when the fork-server executor can and may be used here.
-
-    ``REPRO_FORKSERVER=0`` disables it (the ``--no-forkserver`` escape
-    hatch); ``REPRO_MP_START_METHOD=spawn`` forces the portable
-    spawn-per-run path (the CI fallback leg); otherwise any POSIX with
-    ``os.fork`` qualifies.
-    """
-    if os.environ.get("REPRO_FORKSERVER", "1") == "0":
-        return False
-    if os.environ.get("REPRO_MP_START_METHOD", "fork") != "fork":
-        return False
-    return hasattr(os, "fork")
-
-
-def _write_frame(fd: int, obj: Any) -> None:
-    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    os.write(fd, struct.pack("!I", len(payload)) + payload)
-
-
-def _read_exact(fd: int, n: int) -> bytes:
-    chunks = []
-    while n:
-        chunk = os.read(fd, n)
-        if not chunk:
-            raise EOFError("fork-server pipe closed mid-frame")
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)
-
-
-def _read_frame(fd: int) -> Optional[Any]:
-    """Next frame from ``fd``, or None on a clean EOF."""
-    try:
-        header = _read_exact(fd, 4)
-    except EOFError:
-        return None
-    (length,) = struct.unpack("!I", header)
-    return pickle.loads(_read_exact(fd, length))
-
-
-def _child_run(fork_boot: ForkBoot, state: Any, index: int, config: Any,
-               out_fd: int) -> None:
-    """Forked child: finish one run, ship the outcome, exit hard.
-
-    ``os._exit`` skips atexit/GC teardown that belongs to the server —
-    the child's only side effect must be the frame it writes.
-    """
-    try:
-        outcome = fork_boot.resume(state, config)
-        frame = (index, "ok", outcome)
-    except BaseException as exc:  # noqa: BLE001 — relayed to the parent
-        frame = (index, "err", "%s: %s" % (type(exc).__name__, exc))
-    try:
-        _write_frame(out_fd, frame)
-    finally:
-        os.close(out_fd)
-        os._exit(0)
-
-
-def _serve_family(items: List, fork_boot: ForkBoot, workers: int,
-                  result_fd: int) -> None:
-    """Fork-server body: boot once, fork one child per pending run.
-
-    Children write to per-run pipes; the server relays completed frames
-    to the parent in completion order.  Up to ``workers`` children run
-    concurrently.
-    """
-    state = fork_boot.boot(items[0][1])
-    sel = selectors.DefaultSelector()
-    buffers: Dict[int, List[bytes]] = {}
-    pids: Dict[int, int] = {}
-    live = 0
-    queue = list(items)
-
-    def launch(index: int, config: Any) -> None:
-        nonlocal live
-        r_fd, w_fd = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            sel.close()
-            os.close(r_fd)
-            os.close(result_fd)
-            _child_run(fork_boot, state, index, config, w_fd)
-        os.close(w_fd)
-        buffers[r_fd] = []
-        pids[r_fd] = pid
-        sel.register(r_fd, selectors.EVENT_READ)
-        live += 1
-
-    def reap(r_fd: int) -> None:
-        nonlocal live
-        sel.unregister(r_fd)
-        os.close(r_fd)
-        os.waitpid(pids.pop(r_fd), 0)
-        live -= 1
-        data = b"".join(buffers.pop(r_fd))
-        if data:
-            os.write(result_fd, data)
-        else:       # child died before writing its frame
-            _write_frame(result_fd, (-1, "err", "fork-server child died "
-                                     "without reporting an outcome"))
-
-    while queue or live:
-        while queue and live < max(1, workers):
-            index, config = queue.pop(0)
-            launch(index, config)
-        for key, _events in sel.select():
-            chunk = os.read(key.fd, 1 << 16)
-            if chunk:
-                buffers[key.fd].append(chunk)
-            else:
-                reap(key.fd)
-    sel.close()
-
-
-def _run_forkserver(pending: List, fork_boot: ForkBoot, workers: int,
-                    record: Callable[[int, Any], None]) -> None:
-    """Group pending runs by boot family; one fork-server per family."""
-    families: Dict[Any, List] = {}
-    for index, config in pending:
-        families.setdefault(fork_boot.family(config),
-                            []).append((index, config))
-    for items in families.values():
-        r_fd, w_fd = os.pipe()
-        server_pid = os.fork()
-        if server_pid == 0:
-            status = 1
-            try:
-                os.close(r_fd)
-                _serve_family(items, fork_boot, workers, w_fd)
-                status = 0
-            finally:
-                os.close(w_fd)
-                os._exit(status)
-        os.close(w_fd)
-        got = 0
-        try:
-            while True:
-                frame = _read_frame(r_fd)
-                if frame is None:
-                    break
-                index, tag, payload = frame
-                if tag != "ok":
-                    raise RuntimeError("fork-server run %d failed: %s"
-                                       % (index, payload))
-                record(index, payload)
-                got += 1
-        finally:
-            os.close(r_fd)
-            os.waitpid(server_pid, 0)
-        if got != len(items):
-            raise RuntimeError(
-                "fork-server family returned %d of %d outcomes"
-                % (got, len(items)))
-
-
-# -- branch-at-injection execution ---------------------------------------------
-
-
-def branch_supported(experiment) -> bool:
-    """True when ``experiment`` can run branch-at-injection here."""
-    from ..ckpt.branch import branching_available
-
-    return (experiment.brancher is not None
-            and experiment.boot is not None
-            and branching_available())
-
-
-def _serve_branch_group(items: List, experiment, workers: int,
-                        result_fd: int, telemetry: bool,
-                        trace: bool) -> None:
-    """Branch-group server body: boot once, run the shared live prefix,
-    fork one copy-on-write child per run at its gate.
-
-    The parent process *is* the shared prefix: it executes the gated
-    resume with the group's template config, never injecting anything,
-    and ``BranchController`` forks a child per plan at that run's gate.
-    Children finish their runs naturally, spool their outcome frames
-    (atomic rename — no pipe to deadlock against a parent that is deep
-    inside the simulation), and the parent relays reaped frames to
-    ``result_fd`` in completion order.
-    """
-    import shutil
-    import tempfile
-
-    from ..ckpt.branch import BranchController
-
-    brancher = experiment.brancher
-    template = items[0][1]
-    state = experiment.boot(template)
-    plans = brancher.plan(state, items)
-    spool_dir = tempfile.mkdtemp(prefix="repro-branch-")
-    ctl = BranchController(plans, workers, spool_dir)
-    ctl.on_frame = lambda data: os.write(result_fd, data)
-    telemetry_on = telemetry or trace
-    if telemetry_on:
-        from ..obs import runtime as obs_runtime
-        obs_runtime.configure(metrics=telemetry, tracing=trace)
-        obs_runtime.begin_run()
-    try:
-        outcome = brancher.parent(state, template, ctl)
-    except BaseException as exc:  # noqa: BLE001 — relayed to the parent
-        if ctl.child_plan is not None:
-            ctl.ship_and_exit("err", "%s: %s"
-                              % (type(exc).__name__, exc))
-        raise
-    if ctl.child_plan is not None:
-        # Forked child: ship this run's real outcome and exit hard.
-        payload = outcome
-        if telemetry_on:
-            from ..obs import runtime as obs_runtime
-            payload = _TelemetryEnvelope(outcome, obs_runtime.collect(),
-                                         obs_runtime.take_trace())
-        ctl.ship_and_exit("ok", payload)
-    # Parent: its clean, fault-free outcome is discarded by design.
-    ctl.drain()
-    shutil.rmtree(spool_dir, ignore_errors=True)
-
-
-def _run_branched(pending: List, experiment, workers: int,
-                  record: Callable[[int, Any], None], telemetry: bool,
-                  trace: bool) -> None:
-    """Group pending runs by branch group; one group server per group."""
-    brancher = experiment.brancher
-    groups: Dict[Any, List] = {}
-    for index, config in pending:
-        groups.setdefault(brancher.group(config),
-                          []).append((index, config))
-    for items in groups.values():
-        r_fd, w_fd = os.pipe()
-        server_pid = os.fork()
-        if server_pid == 0:
-            status = 1
-            try:
-                os.close(r_fd)
-                _serve_branch_group(items, experiment, workers, w_fd,
-                                    telemetry, trace)
-                status = 0
-            finally:
-                os.close(w_fd)
-                os._exit(status)
-        os.close(w_fd)
-        got = 0
-        try:
-            while True:
-                frame = _read_frame(r_fd)
-                if frame is None:
-                    break
-                index, tag, payload = frame
-                if tag != "ok":
-                    raise RuntimeError("branch run %d failed: %s"
-                                       % (index, payload))
-                record(index, payload)
-                got += 1
-        finally:
-            os.close(r_fd)
-            os.waitpid(server_pid, 0)
-        if got != len(items):
-            raise RuntimeError(
-                "branch group returned %d of %d outcomes"
-                % (got, len(items)))
-
-
-def run_branched(configs: Sequence[Any], experiment, *, workers: int = 1,
-                 progress: Optional[Callable[[int], None]] = None,
-                 completed: Optional[Dict[int, Any]] = None,
-                 on_outcome: Optional[Callable[[int, Any], None]] = None,
-                 telemetry: bool = False, trace: bool = False
-                 ) -> List[Any]:
-    """Branch-at-injection counterpart of :func:`run_many`.
-
-    Same contract — outcomes in config order, monotonic progress ticks,
-    ``completed`` runs skipped, ``on_outcome`` in completion order — but
-    runs execute as copy-on-write branches forked from each group's
-    shared live prefix at the injection point.  Outcomes are
-    byte-identical to the serial/pool/fork-server paths.
-    """
-    completed = dict(completed or {})
-    outcomes: List[Any] = [None] * len(configs)
-    for index, outcome in completed.items():
-        outcomes[index] = outcome
-    pending = [(index, config) for index, config in enumerate(configs)
-               if index not in completed]
-    ticker = _Ticker(progress, already_done=len(configs) - len(pending))
-
-    def record(index: int, outcome: Any) -> None:
-        outcomes[index] = outcome
-        if on_outcome is not None:
-            on_outcome(index, outcome)
-        ticker.tick()
-
-    if pending:
-        _run_branched(pending, experiment, workers, record, telemetry,
-                      trace)
-    return outcomes
 
 
 def run_many(configs: Sequence[Any], runner: Callable[[Any], Any], *,
              workers: int = 1,
              progress: Optional[Callable[[int], None]] = None,
              completed: Optional[Dict[int, Any]] = None,
-             on_outcome: Optional[Callable[[int, Any], None]] = None,
-             fork_boot: Optional[ForkBoot] = None
+             on_outcome: Optional[Callable[[int, Any], None]] = None
              ) -> List[Any]:
     """Run every config through ``runner``; outcomes in config order.
 
@@ -610,13 +275,8 @@ def run_many(configs: Sequence[Any], runner: Callable[[Any], Any], *,
     progress tick for that run — so a journal line always lands before
     the tick that announces it.  ``progress(done)`` receives monotonic
     counts ``len(completed)+1 .. len(configs)`` in both serial and
-    parallel modes.
-
-    ``fork_boot`` describes the experiment's shared boot prefix; when
-    given and :func:`forkserver_available`, runs execute on the
-    fork-server (boot once per family, fork a copy-on-write child per
-    run) instead of the pool/serial paths.  Outcomes are byte-identical
-    either way.
+    parallel modes.  Each run is reclaimed (:func:`_invoke`) before the
+    next one starts.
     """
     completed = dict(completed or {})
     outcomes: List[Any] = [None] * len(configs)
@@ -632,19 +292,14 @@ def run_many(configs: Sequence[Any], runner: Callable[[Any], Any], *,
             on_outcome(index, outcome)
         ticker.tick()
 
-    if fork_boot is not None and pending and forkserver_available():
-        _run_forkserver(pending, fork_boot, workers, record)
-        return outcomes
     if workers <= 1 or len(pending) < 2:
-        for index, config in pending:
-            record(index, runner(config))
+        for item in pending:
+            record(*_invoke(runner, item))
         return outcomes
     # fork (where available) shares the already-imported simulator
     # modules with the children; spawn re-imports and still works.
-    # REPRO_MP_START_METHOD overrides the choice (the CI spawn leg).
-    method = os.environ.get("REPRO_MP_START_METHOD") or (
-        "fork" if "fork" in multiprocessing.get_all_start_methods()
-        else None)
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() \
+        else None
     ctx = multiprocessing.get_context(method)
     workers = min(workers, len(pending))
     chunksize = max(1, len(pending) // (workers * 4))
@@ -652,20 +307,20 @@ def run_many(configs: Sequence[Any], runner: Callable[[Any], Any], *,
         for index, outcome in pool.imap_unordered(
                 partial(_invoke, runner), pending, chunksize):
             record(index, outcome)
+        # Let idle workers exit on their own: leaving the block would
+        # otherwise terminate() them, killing any exit-time work.
+        pool.close()
+        pool.join()
     return outcomes
 
 
 def run_experiment(spec: ExperimentSpec, *, workers: int = 1,
                    progress: Optional[Callable[[int], None]] = None,
                    journal_path: Optional[str] = None,
-                   forkserver: bool = True,
                    telemetry: bool = False,
                    trace: bool = False,
                    sample_every: Optional[float] = None,
                    flight_dir: Optional[str] = None,
-                   shards: Optional[int] = None,
-                   shard_schedule: Optional[str] = None,
-                   branch: bool = False,
                    from_snapshot: Optional[str] = None) -> ExperimentResult:
     """Expand, fan out, (optionally) journal, aggregate and render.
 
@@ -675,9 +330,10 @@ def run_experiment(spec: ExperimentSpec, *, workers: int = 1,
     uninterrupted run.  The journal file is left in place on completion
     so a finished campaign re-invokes as a pure cache hit.
 
-    Experiments registered with a boot/resume split run on the
-    fork-server when available; ``forkserver=False`` (the CLI's
-    ``--no-forkserver``) forces the historic spawn-per-run path.
+    Experiments registered with a boot/resume split run as
+    ``resume(boot(config), config)`` through :func:`_boot_and_resume`,
+    so the boot and the run are separate calls from this module;
+    ``run_one`` serves only experiments without the split.
 
     ``telemetry`` collects a per-run :class:`MetricsSnapshot` and merges
     them (deterministically — the merge is commutative and runs fold in
@@ -689,31 +345,13 @@ def run_experiment(spec: ExperimentSpec, *, workers: int = 1,
     ``sample_every`` (µs of simulated time) arms the continuous
     sampler: every run's clusters carry a :class:`TimeSeriesSampler`
     and the result grows a ``"timeseries"`` key with one track document
-    per run, assembled in config order so serial, pool, fork-server and
-    sharded execution produce identical documents.  ``flight_dir`` arms
-    the flight recorder: anomalous runs (SLO breach, deadlock outcome,
-    exception) dump their trace ring plus an anomaly-instant ``ckpt``
-    snapshot into that directory; the written paths land on
-    ``result.flight_dumps`` (never in the serialized doc).  Both follow
-    the telemetry discipline — outcomes stay byte-identical — and both
-    fall back from the branch executor to the normal paths (a sampler's
-    timer chain crosses the branch gate; recorder rings are per-child).
-
-    ``shards``/``shard_schedule`` select the sharded-simulator execution
-    mode (the CLI's ``--shards``/``--shard-schedule``).  Like telemetry,
-    sharding is pure execution mode: results are byte-identical at equal
-    seeds, so it never appears in the spec.  It travels through the
-    ``REPRO_SHARDS``/``REPRO_SHARD_SCHEDULE`` environment so pool and
-    fork-server children inherit it.
-
-    ``branch`` (the CLI's ``--branch-at injection``) runs the campaign
-    on the branch-at-injection executor where the experiment registered
-    a brancher: each group boots once, runs its live prefix once, and
-    forks a copy-on-write child per run at the injection point.  Like
-    sharding it is pure execution mode — outcomes are byte-identical —
-    and experiments without a brancher (or windowed/threaded shard
-    schedules, whose wheels cannot be single-stepped to an exact
-    instant) silently fall back to the normal executors.
+    per run, assembled in config order so serial and pool execution
+    produce identical documents.  ``flight_dir`` arms the flight
+    recorder: anomalous runs (SLO breach, deadlock outcome, exception)
+    dump their trace ring plus an anomaly-instant ``ckpt`` snapshot into
+    that directory; the written paths land on ``result.flight_dumps``
+    (never in the serialized doc).  Both follow the telemetry
+    discipline — outcomes stay byte-identical.
 
     ``from_snapshot`` restores a snapshot file (``repro snapshot``)
     whose spec must match, finishes the checkpointed run from its
@@ -727,19 +365,12 @@ def run_experiment(spec: ExperimentSpec, *, workers: int = 1,
     telemetry_on = telemetry or trace \
         or sample_every is not None or flight_dir is not None
     runner = experiment.run_one
-    resume = experiment.resume
+    if experiment.boot is not None and experiment.resume is not None:
+        runner = partial(_boot_and_resume, experiment.boot,
+                         experiment.resume)
     if telemetry_on:
-        runner = partial(_telemetry_invoke, experiment.run_one,
+        runner = partial(_telemetry_invoke, runner,
                          telemetry, trace, sample_every, flight_dir)
-        if resume is not None:
-            resume = partial(_telemetry_resume, experiment.resume,
-                             telemetry, trace, sample_every, flight_dir)
-    fork_boot = None
-    if forkserver and experiment.boot is not None \
-            and experiment.resume is not None:
-        fork_boot = ForkBoot(family=experiment.boot_family or (lambda c: 0),
-                             boot=experiment.boot,
-                             resume=resume)
     completed: Dict[int, Any] = {}
     journal: Optional[Journal] = None
     if journal_path is not None:
@@ -765,49 +396,14 @@ def run_experiment(spec: ExperimentSpec, *, workers: int = 1,
         def on_outcome(index: int, outcome: Any) -> None:
             journal.append(index, encode_outcome(_unwrap_outcome(outcome)))
     started = time.perf_counter()
-    if telemetry_on:
-        # Fork-server servers boot clusters *before* the per-run resume
-        # wrapper runs, and build_cluster consults the runtime flags to
-        # install the forced tracer — so the parent sets the flags now
-        # and the servers inherit them through fork.
-        from ..obs import runtime as obs_runtime
-        obs_runtime.configure(metrics=telemetry, tracing=trace,
-                              sample_every=sample_every,
-                              flight_dir=flight_dir)
-    shard_env: Dict[str, Optional[str]] = {}
-    if shards is not None or shard_schedule is not None:
-        # build_cluster reads these at boot time, in this process and in
-        # every pool/fork-server child (which inherit the environment).
-        if shard_schedule is not None and shard_schedule not in SCHEDULES:
-            raise ValueError("unknown shard schedule %r (choose from %s)"
-                             % (shard_schedule, ", ".join(SCHEDULES)))
-        updates = {"REPRO_SHARDS": str(shards) if shards is not None else None,
-                   "REPRO_SHARD_SCHEDULE": shard_schedule}
-        for key, value in updates.items():
-            if value is None:
-                continue
-            shard_env[key] = os.environ.get(key)
-            os.environ[key] = value
     try:
-        if branch and branch_supported(experiment) \
-                and shard_schedule in (None, "merged") \
-                and sample_every is None and flight_dir is None:
-            outcomes = run_branched(configs, experiment, workers=workers,
-                                    progress=progress, completed=completed,
-                                    on_outcome=on_outcome,
-                                    telemetry=telemetry, trace=trace)
-        else:
-            outcomes = run_many(configs, runner, workers=workers,
-                                progress=progress, completed=completed,
-                                on_outcome=on_outcome, fork_boot=fork_boot)
+        outcomes = run_many(configs, runner, workers=workers,
+                            progress=progress, completed=completed,
+                            on_outcome=on_outcome)
     finally:
         if telemetry_on:
+            from ..obs import runtime as obs_runtime
             obs_runtime.reset()
-        for key, prior in shard_env.items():
-            if prior is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = prior
     wall = time.perf_counter() - started
     snapshot = None
     traces: Optional[List] = None

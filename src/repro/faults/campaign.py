@@ -65,27 +65,16 @@ class CampaignResult:
 def run_campaign(runs: int = 200, seed: int = 2003, flavor: str = "gm",
                  messages: int = 16,
                  progress: Optional[Callable[[int], None]] = None,
-                 workers: int = 1, branch: bool = False) -> CampaignResult:
+                 workers: int = 1) -> CampaignResult:
     """Flip one random ``send_chunk`` bit per run; classify each run.
 
     ``workers > 1`` fans the runs out over a process pool; the result is
     identical to the serial campaign (same outcomes, same order).
-    ``branch=True`` instead boots one shared prefix per branch group and
-    forks each run off at its injection gate (byte-identical again;
-    falls back to the pool when fork-based branching is unavailable).
     """
     configs = [InjectionConfig(run_id=run_id,
                                seed=derive_run_seed(seed, run_id),
                                flavor=flavor, messages=messages)
                for run_id in range(runs)]
-    if branch:
-        from ..exp.registry import get_experiment
-        from ..exp.runner import branch_supported, run_branched
-
-        experiment = get_experiment("table1")
-        if branch_supported(experiment):
-            return CampaignResult(runs, run_branched(
-                configs, experiment, workers=workers, progress=progress))
     return CampaignResult(runs, run_many(configs, run_injection,
                                          workers=workers,
                                          progress=progress))

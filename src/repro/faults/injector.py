@@ -33,8 +33,7 @@ except ImportError:                      # pragma: no cover
     _np = None
 
 __all__ = ["InjectionConfig", "run_injection", "boot_injection",
-           "resume_injection", "injection_family", "injection_group",
-           "plan_injection_runs", "classify_deliveries"]
+           "resume_injection", "classify_deliveries"]
 
 
 def classify_deliveries(received, expected) -> "tuple[int, int]":
@@ -87,65 +86,11 @@ class InjectionConfig:
     observe_horizon_us: float = 12_000_000.0
 
 
-def injection_family(config: InjectionConfig):
-    """Key of the boot all runs with this config's shape can share."""
-    return (config.flavor,)
-
-
-def injection_group(config: InjectionConfig):
-    """Key of the live prefix all runs in a branch group can share.
-
-    Everything that shapes the pre-injection trajectory must match; the
-    parent process runs one un-injected stream and forks each run off at
-    its gate.  The per-run ``seed`` is deliberately absent: boot never
-    draws the cluster rng, stream payloads are keyed by message index,
-    and the seed feeds only the run's private injection draws — which the
-    planner resolves per run and each child adopts at its gate.  (The
-    fork-server's ``injection_family`` leans on the same independence.)
-    """
-    return (config.flavor, config.messages,
-            config.message_bytes, config.observe_horizon_us)
-
-
-def plan_injection_runs(cluster, items):
-    """Resolve each pending run's branch gate against the booted cluster.
-
-    Materializes the lazily-drawn parameters in **cold draw order** (bit
-    first, then the injection index — the exact `randrange` sequence
-    :func:`resume_injection` performs) so a forked child that adopts the
-    resolved config holds precisely the values its cold run would have
-    drawn.  The draws touch only the run's private RNG stream, never the
-    simulation, so resolving them here is invisible to the prefix.
-    """
-    from dataclasses import replace
-
-    from ..ckpt.branch import BranchPlan
-
-    firmware = cluster[0].mcp.firmware
-    start, end = firmware.send_chunk_extent
-    section_bits = (end - start) * 8
-    plans = []
-    for index, config in items:
-        rng = SeededRng(config.seed, "inject/%d" % config.run_id)
-        bit = config.bit_offset if config.bit_offset is not None \
-            else rng.randrange(section_bits)
-        inject_after = config.inject_after_messages \
-            if config.inject_after_messages is not None \
-            else rng.randrange(1, config.messages)
-        resolved = replace(config, bit_offset=bit,
-                           inject_after_messages=inject_after)
-        plans.append(BranchPlan(index, resolved, inject_after))
-    return plans
-
-
 def boot_injection(config: InjectionConfig):
-    """Build and boot the shared pre-fault prefix of an injection run.
+    """Build and boot the pre-fault prefix of an injection run.
 
-    Everything here is independent of the per-run seed (the cluster's
-    rng is constructed but never drawn during boot), so a fork-server
-    can boot once per :func:`injection_family` and fork a copy-on-write
-    child per run — :func:`resume_injection` picks up from the exact
-    state a fresh per-run boot would produce.
+    The cluster's rng is constructed but never drawn during boot;
+    :func:`resume_injection` makes every per-run draw.
     """
     return build_cluster(2, flavor=config.flavor,
                          interpreted_nodes=[0],
@@ -158,15 +103,11 @@ def run_injection(config: InjectionConfig) -> InjectionOutcome:
 
 
 def resume_injection(cluster, config: InjectionConfig,
-                     branch=None, pause_at: Optional[float] = None):
+                     pause_at: Optional[float] = None):
     """Inject, observe and classify on an already-booted cluster.
 
-    ``branch`` (a :class:`repro.ckpt.branch.BranchController`) turns
-    this into the gated prefix of a branch group: the parent streams
-    without ever injecting, forking one child per run at its gate; each
-    child adopts its resolved config and continues exactly as a cold run
-    would.  ``pause_at`` instead parks the run at a simulated instant
-    and returns a :class:`repro.ckpt.PausedRun` (snapshot/time-travel).
+    ``pause_at`` parks the run at a simulated instant and returns a
+    :class:`repro.ckpt.PausedRun` (snapshot/time-travel).
     """
     rng = SeededRng(config.seed, "inject/%d" % config.run_id)
     sim = cluster.sim
@@ -176,19 +117,11 @@ def resume_injection(cluster, config: InjectionConfig,
     firmware = mcp.firmware
     start, end = firmware.send_chunk_extent
     section_bits = (end - start) * 8
-    if branch is not None:
-        # The branch parent never injects; children adopt their resolved
-        # (bit, inject_after) at the gate.  Cold runs draw here — the
-        # draws touch only this run's private stream, so skipping them
-        # in the parent is invisible to the shared prefix.
-        bit = None
-        inject_after = None
-    else:
-        bit = config.bit_offset if config.bit_offset is not None \
-            else rng.randrange(section_bits)
-        inject_after = config.inject_after_messages \
-            if config.inject_after_messages is not None \
-            else rng.randrange(1, config.messages)
+    bit = config.bit_offset if config.bit_offset is not None \
+        else rng.randrange(section_bits)
+    inject_after = config.inject_after_messages \
+        if config.inject_after_messages is not None \
+        else rng.randrange(1, config.messages)
 
     state = {
         "recv": {},          # index -> payload
@@ -203,7 +136,6 @@ def resume_injection(cluster, config: InjectionConfig,
     }
 
     def sender():
-        nonlocal config, bit, inject_after, branch
         port = yield from target.driver.open_port(1)
 
         def make_cb(index):
@@ -215,19 +147,6 @@ def resume_injection(cluster, config: InjectionConfig,
             return cb
 
         for i in range(config.messages):
-            if branch is not None:
-                # Fork every run branching at this message index; the
-                # gate is a synchronous call — no yield, no event, no
-                # draw — so the wheel never sees it.
-                adopted = branch.gate(i)
-                if adopted is not None:
-                    # Forked child: become this run.  The injection
-                    # check below fires with the adopted values at this
-                    # very index, exactly like the cold run.
-                    config = adopted.config
-                    bit = config.bit_offset
-                    inject_after = config.inject_after_messages
-                    branch = None
             if i == inject_after and state["injected_at"] is None:
                 # Flip the bit mid-stream, right before this send.
                 target.nic.sram.flip_bit(start * 8 + bit)
@@ -298,11 +217,10 @@ def resume_injection(cluster, config: InjectionConfig,
 
         outcome = InjectionOutcome(
             run_id=config.run_id,
-            bit_offset=bit if bit is not None else -1,
+            bit_offset=bit,
             injected_at=state["injected_at"] or -1.0,
-            faulting_source_line=(
-                firmware.source_line(start + bit // 8 - (bit // 8) % 4)
-                if bit is not None else None),
+            faulting_source_line=firmware.source_line(
+                start + bit // 8 - (bit // 8) % 4),
             local_hung=mcp.hung or (mcp.cpu is not None and mcp.cpu.hung),
             hang_reason=mcp.dead_reason or (mcp.cpu.hang_reason
                                             if mcp.cpu else None),

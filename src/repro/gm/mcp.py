@@ -566,9 +566,8 @@ class Mcp:
         externally probed state (FTGM's watchdog and magic word) disable
         the fold via ``_idle_skip``.
         """
-        # The external-work horizon spans the whole schedule — on a
-        # sharded simulator that is every wheel plus the in-flight
-        # channel arrivals, not just this MCP's own queue.
+        # The external-work horizon spans the whole schedule, not just
+        # this MCP's own queue.
         t_ext = self.sim.earliest_live()
         if t_ext == float("inf"):
             # Only inert events left: without a live horizon the skip is

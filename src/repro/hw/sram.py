@@ -7,10 +7,18 @@ byte-addressable array with 32-bit big-endian word access — the LANai is
 a big-endian processor — plus bounds checking that raises
 :class:`~repro.errors.BusError`, which is how a corrupted firmware address
 turns into a processor hang.
+
+The bytes live in a private anonymous memory mapping.  It reads as zeros
+and its pages become resident only when written, so a NIC costs host
+memory for the MCP image and the buffers it actually touched, not for
+all 2 MB.  The mapping is private (copy-on-write), so a process forked
+while a cluster exists (a pool worker) never shares writes with its
+parent.
 """
 
 from __future__ import annotations
 
+import mmap
 from typing import Iterable
 
 from ..errors import BusError
@@ -20,6 +28,11 @@ __all__ = ["Sram", "WORD_SIZE"]
 WORD_SIZE = 4
 
 
+def _zeroed(size: int) -> mmap.mmap:
+    """``size`` zero bytes, resident only once written."""
+    return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+
+
 class Sram:
     """Byte-addressable memory with word (32-bit, big-endian) accessors."""
 
@@ -27,7 +40,7 @@ class Sram:
         if size <= 0 or size % WORD_SIZE:
             raise ValueError("SRAM size must be a positive multiple of 4")
         self.size = size
-        self._mem = bytearray(size)
+        self._mem = _zeroed(size)
         # Decoded-instruction cache, owned by the memory so that *every*
         # write path invalidates the stale decode — a bit flip injected
         # through any of these APIs must corrupt all subsequent
@@ -81,7 +94,7 @@ class Sram:
 
     def read_bytes(self, address: int, length: int) -> bytes:
         self._check(address, length)
-        return bytes(self._mem[address:address + length])
+        return self._mem[address:address + length]
 
     def write_bytes(self, address: int, data: bytes) -> None:
         self._check(address, len(data))
@@ -112,7 +125,7 @@ class Sram:
 
     def clear(self) -> None:
         """Zero the whole SRAM (the FTD does this before reloading the MCP)."""
-        self._mem = bytearray(self.size)
+        self._mem = _zeroed(self.size)
         self.decode_cache.clear()
         self.block_cache.clear()
         self.block_index.clear()
@@ -149,6 +162,6 @@ class Sram:
 
         return {
             "size": self.size,
-            "mem_sha256": hashlib.sha256(bytes(self._mem)).hexdigest(),
+            "mem_sha256": hashlib.sha256(self._mem).hexdigest(),
             "invalidations": self.invalidations,
         }

@@ -18,8 +18,8 @@ traffic?*  It has three parts:
 
 Everything upstream of the simulator (schedules, specs, grading) is
 pure data + seeded RNG, so ``slo-chaos`` result documents are
-byte-identical at equal seeds across serial, pool, fork-server and
-sharded execution, telemetry on or off.
+byte-identical at equal seeds across serial and pool execution,
+telemetry on or off.
 """
 
 from .chaos import (

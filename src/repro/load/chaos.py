@@ -12,8 +12,8 @@ fault cells show what it buys.
 
 Every run builds its own simulator from its own seed (the netfaults
 pattern), so the campaign fans out through
-:func:`repro.exp.runner.run_many` — serial, pool, fork-server or
-sharded — and same-seed campaigns render byte-identical verdicts.
+:func:`repro.exp.runner.run_many` — serial or pool — and same-seed
+campaigns render byte-identical verdicts.
 Grading happens on the generator's own deterministic accounting;
 telemetry only ever receives a read-only harvest afterwards.
 """
@@ -40,7 +40,6 @@ __all__ = [
     "SloChaosCampaignResult",
     "boot_slo_chaos",
     "resume_slo_chaos",
-    "slo_chaos_family",
     "run_slo_chaos",
 ]
 
@@ -101,14 +100,8 @@ class SloChaosOutcome:
         return "%s/%s" % (self.scenario, self.flavor)
 
 
-def slo_chaos_family(config: SloChaosConfig):
-    """Fork-server boot family: all runs sharing a fabric + flavor."""
-    return (config.flavor, config.n_nodes, config.topology,
-            config.n_switches)
-
-
 def boot_slo_chaos(config: SloChaosConfig):
-    """Build and boot the shared pre-fault prefix (seed-independent)."""
+    """Build and boot the pre-fault prefix (seed-independent)."""
     return build_cluster(config.n_nodes, flavor=config.flavor,
                          seed=config.seed, topology=config.topology,
                          n_switches=config.n_switches)
@@ -124,8 +117,7 @@ def resume_slo_chaos(cluster, config: SloChaosConfig, pause_at=None):
 
     ``pause_at`` parks the run at a simulated instant and returns a
     :class:`repro.ckpt.PausedRun` instead of an outcome (snapshot /
-    time-travel support); the chaos plane is seed-dependent from t=0, so
-    slo-chaos pauses but never branch-shares a prefix.
+    time-travel support).
     """
     rng = SeededRng(config.seed, "slo-chaos/%d" % config.run_id)
     sim = cluster.sim
@@ -135,7 +127,7 @@ def resume_slo_chaos(cluster, config: SloChaosConfig, pause_at=None):
     fault_at = -1.0
     plane = None
     if config.scenario != "baseline":
-        plane = NetworkFaultPlane(cluster.fabric_sim, cluster.fabric,
+        plane = NetworkFaultPlane(sim, cluster.fabric,
                                   rng.spawn("plane"),
                                   tracer=cluster.tracer)
         fault_at = config.fault_frac * schedule.profile.total_duration_us

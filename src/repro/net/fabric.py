@@ -19,7 +19,7 @@ __all__ = ["Fabric", "NicPort", "clos_dimensions", "fat_tree_dimensions"]
 
 def clos_dimensions(n_nodes: int, n_spines: int = 2,
                     nports: int = 8) -> tuple:
-    """Leaf-spine sizing shared by the generator and ``plan_shards``.
+    """Leaf-spine sizing shared by the generator and the fault campaigns.
 
     Returns ``(hosts_per_leaf, n_leaves)``: node ``i`` lives on leaf
     ``i // hosts_per_leaf`` at port ``i % hosts_per_leaf``.
@@ -33,7 +33,7 @@ def clos_dimensions(n_nodes: int, n_spines: int = 2,
 
 
 def fat_tree_dimensions(n_nodes: int, nports: int = 8) -> tuple:
-    """3-tier fat-tree sizing shared by the generator and ``plan_shards``.
+    """3-tier fat-tree sizing shared by the generator and the fault campaigns.
 
     A radix-``k`` fat-tree pod is ``k/2`` edge switches over ``k/2``
     hosts each; we build only as many pods as the host count needs (the
@@ -59,11 +59,6 @@ class NicPort:
         self.link: Optional[Link] = None
         self.name = "%s.port" % nic.name
 
-    @property
-    def wheel(self):
-        """The event wheel this endpoint's deliveries must run on."""
-        return self.nic.sim
-
     def deliver_packet(self, packet) -> bool:
         return self.nic.deliver_packet(packet)
 
@@ -84,16 +79,8 @@ class Fabric:
         self.links: List[Link] = []
         self.nic_ports: Dict[int, NicPort] = {}
 
-    def add_switch(self, nports: int = 8,
-                   sim: Optional[Simulator] = None) -> Switch:
-        """Add a switch, optionally on another shard's event wheel.
-
-        The sharded builder places leaf/edge switches on the wheel of
-        the hosts cabled to them (rack-local traffic then never crosses
-        a shard boundary); spine/core switches stay on the fabric wheel.
-        """
-        switch = Switch(sim if sim is not None else self.sim,
-                        len(self.switches), nports, self.tracer)
+    def add_switch(self, nports: int = 8) -> Switch:
+        switch = Switch(self.sim, len(self.switches), nports, self.tracer)
         self.switches.append(switch)
         return switch
 
@@ -206,18 +193,6 @@ class Fabric:
             self.connect(leaf.port(nports - 1), root.port(j))
         return [root] + leaves
 
-    def _rack_sim(self, nics: List[Nic]) -> Optional[Simulator]:
-        """The shared wheel of a rack's NICs, if they all agree.
-
-        Used to co-locate a leaf/edge switch with its hosts under
-        sharding; racks that straddle shards (or are empty) fall back to
-        the fabric wheel.
-        """
-        wheels = {id(nic.sim) for nic in nics}
-        if len(wheels) == 1:
-            return nics[0].sim
-        return None
-
     def clos(self, nics: List[Nic], n_spines: int = 2,
              nports: int = 8) -> List[Switch]:
         """A two-tier leaf-spine Clos fabric.
@@ -227,17 +202,14 @@ class Fabric:
         this leaf), so every leaf pair has ``n_spines`` equal-cost
         two-hop paths — the ECMP redundancy the hierarchical mapper
         spreads routes over.  NICs pack leaves in contiguous blocks
-        (node ``i`` on leaf ``i // hosts_per_leaf``), the same
-        arithmetic ``plan_shards`` aligns shard boundaries to.  Returns
+        (node ``i`` on leaf ``i // hosts_per_leaf``).  Returns
         ``[*leaves, *spines]``.
         """
         hosts_per_leaf, n_leaves = clos_dimensions(len(nics), n_spines,
                                                    nports)
         leaves = []
-        for leaf_index in range(n_leaves):
-            rack = nics[leaf_index * hosts_per_leaf:
-                        (leaf_index + 1) * hosts_per_leaf]
-            leaf = self.add_switch(nports, sim=self._rack_sim(rack))
+        for _ in range(n_leaves):
+            leaf = self.add_switch(nports)
             leaf.tier = "leaf"
             leaves.append(leaf)
         spines = []
@@ -274,10 +246,8 @@ class Fabric:
         half, n_pods = fat_tree_dimensions(len(nics), nports)
         n_edges = n_pods * half
         edges = []
-        for edge_index in range(n_edges):
-            rack = nics[edge_index * half:(edge_index + 1) * half]
-            edge = self.add_switch(nports,
-                                   sim=self._rack_sim(rack) if rack else None)
+        for _ in range(n_edges):
+            edge = self.add_switch(nports)
             edge.tier = "edge"
             edges.append(edge)
         aggs = []

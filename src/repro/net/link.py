@@ -16,10 +16,7 @@ and fault filter.
 Delivery is decoupled from transmission: once a packet clears the wire,
 its arrival rides a per-direction :class:`_DeliveryQueue` — the same
 one-timer-per-deque shape, so back-to-back deliveries on a hot link
-coalesce.  The same queue is the shard-boundary channel of the sharded
-simulator: when the two endpoints live on different event wheels the
-arrival crosses through a :class:`repro.sim.ShardChannel` instead of
-being armed directly.
+coalesce.
 """
 
 from __future__ import annotations
@@ -33,17 +30,6 @@ __all__ = ["Link", "LINK_BANDWIDTH", "LINK_LATENCY"]
 
 LINK_BANDWIDTH = 250.0  # bytes/us == 2 Gb/s
 LINK_LATENCY = 0.4      # us per traversal (cable + SERDES)
-
-
-def _endpoint_sim(endpoint, default: Simulator) -> Simulator:
-    """The event wheel an endpoint's events must run on.
-
-    Serial simulation has one wheel, so this is the link's own sim; the
-    sharded builder gives NIC ports and switch ports a ``wheel``
-    attribute naming their shard's wheel.
-    """
-    wheel = getattr(endpoint, "wheel", None)
-    return wheel if wheel is not None else default
 
 
 class _Timeline:
@@ -83,18 +69,17 @@ class _Timeline:
 
 
 class _Wire(_Timeline):
-    """Packets still on the wire in one link direction (sender's wheel)."""
+    """Packets still on the wire in one link direction."""
 
     __slots__ = ("bandwidth", "busy_until", "bytes_moved", "land")
 
-    def __init__(self, link: "Link", sim: Simulator, bandwidth: float):
+    def __init__(self, link: "Link", sim: Simulator, bandwidth: float,
+                 land):
         super().__init__(link, sim)
         self.bandwidth = bandwidth
         self.busy_until = 0.0
         self.bytes_moved = 0    # put on the wire, still-clearing ones too
-        # Where a cleared packet goes: the receiver's delivery queue, or
-        # the ShardChannel toward it (rebound by Link._bind_shards).
-        self.land = None
+        self.land = land        # the receiver's DeliveryQueue.push
 
     def post(self, packet, on_accept, delay: float) -> float:
         """Queue ``packet``, ready ``delay`` from now; returns its clear."""
@@ -155,7 +140,7 @@ class _Wire(_Timeline):
 
 
 class _DeliveryQueue(_Timeline):
-    """In-flight arrivals of one link direction (receiver's wheel)."""
+    """In-flight arrivals of one link direction."""
 
     __slots__ = ("receiver",)
 
@@ -219,25 +204,12 @@ class Link:
         self.end_a = end_a
         self.end_b = end_b
         self.latency = latency
-        sim_a = _endpoint_sim(end_a, sim)
-        sim_b = _endpoint_sim(end_b, sim)
-        # Each wire runs on its sender's wheel; arrivals land on the
-        # *receiver's* wheel.
-        self._wires = {
-            id(end_a): _Wire(self, sim_a, bandwidth),  # direction: a -> b
-            id(end_b): _Wire(self, sim_b, bandwidth),  # direction: b -> a
-        }
         self._delivery = {
-            id(end_a): _DeliveryQueue(self, end_b, sim_b),
-            id(end_b): _DeliveryQueue(self, end_a, sim_a),
+            id(end_a): _DeliveryQueue(self, end_b, sim),  # direction: a -> b
+            id(end_b): _DeliveryQueue(self, end_a, sim),  # direction: b -> a
         }
-        for key, wire in self._wires.items():
-            wire.land = self._delivery[key].push
-        # Cross-shard directions route through ShardChannels; filled in
-        # by _bind_shards() when the endpoint wheels differ.
-        self._channels = {}
-        if sim_a is not sim_b:
-            self._bind_shards(sim_a, sim_b)
+        self._wires = {key: _Wire(self, sim, bandwidth, queue.push)
+                       for key, queue in self._delivery.items()}
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.up = True
         self.packets_carried = 0
@@ -248,30 +220,6 @@ class Link:
         # Test/experiment hook: drop (True), corrupt ("corrupt") or
         # duplicate ("duplicate") packets.
         self.fault_filter = None  # callable(packet) -> False|True|"corrupt"|"duplicate"
-
-    def _bind_shards(self, sim_a: Simulator, sim_b: Simulator) -> None:
-        from ..sim import LookaheadError, ShardChannel
-        scheduler = getattr(sim_a, "scheduler", None)
-        if scheduler is None or getattr(sim_b, "scheduler", None) is not scheduler:
-            raise ValueError(
-                "link %s spans two unrelated simulators"
-                % self.describe_ends())
-        if self.latency <= 0.0:
-            raise LookaheadError(
-                "link %s crosses shards with zero wire latency; the "
-                "conservative protocol needs positive lookahead — give the "
-                "link latency or co-locate both endpoints on one shard"
-                % self.describe_ends())
-        self._channels = {
-            id(self.end_a): ShardChannel(scheduler, sim_a, sim_b,
-                                         self.latency,
-                                         self._delivery[id(self.end_a)]),
-            id(self.end_b): ShardChannel(scheduler, sim_b, sim_a,
-                                         self.latency,
-                                         self._delivery[id(self.end_b)]),
-        }
-        for key, channel in self._channels.items():
-            self._wires[key].land = channel.post
 
     def other(self, endpoint):
         if endpoint is self.end_a:
@@ -289,7 +237,7 @@ class Link:
         wire.  At the clear instant it is dropped if the link is down or
         the fault filter drops it — either way the sender's protocol
         layer must recover, which is exactly GM's job.  Otherwise it
-        arrives one wire latency later on the receiver's wheel, and
+        arrives one wire latency later, and
         ``on_accept`` is called then if the far end accepted it.
         """
         return self._wires[id(sender)].post(packet, on_accept, delay)
@@ -338,6 +286,4 @@ class Link:
                       self._wires[kb].ckpt_state()],
             "delivery": [self._delivery[ka].ckpt_state(),
                          self._delivery[kb].ckpt_state()],
-            "channels": [self._channels[k].ckpt_state()
-                         for k in (ka, kb) if k in self._channels],
         }

@@ -43,11 +43,6 @@ class SwitchPort:
         self.link = None  # set when cabled
         self.name = "%s.p%d" % (switch.name, index)
 
-    @property
-    def wheel(self):
-        """The event wheel this endpoint's deliveries must run on."""
-        return self.switch.sim
-
     def deliver_packet(self, packet: Packet) -> bool:
         return self.switch._arrived(self.index, packet)
 
@@ -191,8 +186,8 @@ class Switch:
 
     def _count_forward(self) -> None:
         # ``forwarded`` counts far-end acceptances; with delivery decoupled
-        # from transmission (and possibly completing on another shard's
-        # wheel) the link reports acceptance through this callback.
+        # from transmission the link reports acceptance through this
+        # callback.
         self.forwarded += 1
 
     def _flood(self, in_port: int, packet: Packet) -> bool:

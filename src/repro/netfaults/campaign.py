@@ -41,9 +41,6 @@ __all__ = [
     "run_netfault_injection",
     "boot_netfault",
     "resume_netfault",
-    "netfault_family",
-    "netfault_group",
-    "plan_netfault_runs",
     "run_netfaults_campaign",
 ]
 
@@ -261,55 +258,8 @@ def _inject(config: NetFaultConfig, plane: NetworkFaultPlane,
                     pair=config.pairs[0] if config.pairs else None)
 
 
-def netfault_family(config: NetFaultConfig):
-    """Key of the boot all runs with this config's fabric can share.
-
-    The boot depends on the cluster shape only — every scenario of a
-    sweep reuses the same booted fabric.
-    """
-    return (config.n_nodes, config.topology, config.n_switches,
-            config.radix)
-
-
-def netfault_group(config: NetFaultConfig):
-    """Key of the live prefix all runs in a branch group can share.
-
-    Everything except the per-run identity (run_id, seed): the workload
-    is keyed by message indices, never by the run seed, so two runs
-    differing only in seed walk the same trajectory until their faults
-    fire — which is the whole branch-at-injection premise.
-    """
-    return (config.scenario, config.n_nodes, config.topology,
-            config.n_switches, config.radix, config.pairs,
-            config.messages, config.message_bytes,
-            config.message_gap_us, config.fault_at_us,
-            config.fault_window_us, config.flap_down_us,
-            config.corrupt_rate, config.observe_horizon_us,
-            config.progress_window_us)
-
-
-def plan_netfault_runs(cluster, items):
-    """Resolve each pending run's fault instant against the booted state.
-
-    Mirrors :func:`resume_netfault`'s draw order exactly — RNG children
-    are keyed by (seed, purpose) so spawning the plane stream first and
-    drawing the fault time second reproduces the cold sequence bit for
-    bit; the gate key **is** that replayed fault time.
-    """
-    from ..ckpt.branch import BranchPlan
-
-    t0 = cluster.sim.now
-    plans = []
-    for index, config in items:
-        crng = SeededRng(config.seed, "netfault/%d" % config.run_id)
-        crng.spawn("plane")
-        plans.append(BranchPlan(index, config,
-                                t0 + _pick_fault_time(config, crng)))
-    return plans
-
-
 def boot_netfault(config: NetFaultConfig):
-    """Build and boot the shared pre-fault prefix (seed-independent)."""
+    """Build and boot the pre-fault prefix (seed-independent)."""
     return build_cluster(config.n_nodes, flavor="ftgm",
                          seed=config.seed, topology=config.topology,
                          n_switches=config.n_switches,
@@ -325,7 +275,7 @@ def resume_netfault(cluster, config: NetFaultConfig,
                     inject_fn: Optional[Callable] = None,
                     detector_nodes: Optional[List[int]] = None,
                     detector_kwargs: Optional[Dict] = None,
-                    branch=None, pause_at: Optional[float] = None):
+                    pause_at: Optional[float] = None):
     """Arm, inject, observe and classify on an already-booted cluster.
 
     ``inject_fn(config, plane, cluster, rng, fault_at)`` overrides the
@@ -336,35 +286,19 @@ def resume_netfault(cluster, config: NetFaultConfig,
     hundreds-of-nodes fabric only the workload-active nodes are armed,
     so idle nodes can stay parked.
 
-    ``branch`` (a :class:`repro.ckpt.branch.BranchController`) turns the
-    run into a branch group's shared prefix: the parent arms far-future
-    *placeholder* waiters (same wheel entries, same tie-break seqs as a
-    cold arm), drives the wheel to each run's fault instant, forks, and
-    the child grafts its own fault schedule onto the placeholders.
-    ``pause_at`` instead parks the run at a simulated instant and
-    returns a :class:`repro.ckpt.PausedRun`.
+    ``pause_at`` parks the run at a simulated instant and returns a
+    :class:`repro.ckpt.PausedRun`.
     """
     rng = SeededRng(config.seed, "netfault/%d" % config.run_id)
     sim = cluster.sim
-    # The plane mutates switches and links, which live on the fabric's
-    # wheel under sharded execution — co-locate its processes with them.
-    plane = NetworkFaultPlane(cluster.fabric_sim, cluster.fabric,
+    plane = NetworkFaultPlane(sim, cluster.fabric,
                               rng.spawn("plane"), tracer=cluster.tracer)
     detectors = arm_detectors(cluster, nodes=detector_nodes,
                               **(detector_kwargs or {}))
     inject = inject_fn if inject_fn is not None else _inject
     start_at = sim.now
     fault_at = start_at + _pick_fault_time(config, rng)
-    if branch is not None:
-        # Learn the template schedule's shape without touching the
-        # wheel, then arm one placeholder per action at the exact code
-        # position a cold run arms its waiters — identical spawn/seq
-        # consumption, parked fire times.
-        plane.begin_capture()
-        inject(config, plane, cluster, rng.spawn("target"), fault_at)
-        plane.arm_branch_slots(plane.drain_capture())
-    else:
-        inject(config, plane, cluster, rng.spawn("target"), fault_at)
+    inject(config, plane, cluster, rng.spawn("target"), fault_at)
 
     # Cross-switch directed pairs, both ways.  Historic shape: node i
     # <-> node i + n/2; explicit ``pairs`` on large fabrics.
@@ -454,41 +388,6 @@ def resume_netfault(cluster, config: NetFaultConfig,
         config.progress_window_us, state, plane,
         [cluster[n].driver.ftd for n in sorted(active)
          if getattr(cluster[n].driver, "ftd", None) is not None])
-
-    if branch is not None:
-        def _adopt(plan):
-            """Forked-child epilogue: graft this run's true schedule.
-
-            Replays the run's private draws and its inject against a
-            capture-mode proxy plane (pure: RNG children derive from
-            (seed, purpose), the capture never touches the wheel), then
-            rewrites the parent's placeholders to the captured times.
-            """
-            cfg = plan.config
-            crng = SeededRng(cfg.seed, "netfault/%d" % cfg.run_id)
-            proxy = NetworkFaultPlane(cluster.fabric_sim, cluster.fabric,
-                                      crng.spawn("plane"),
-                                      tracer=cluster.tracer)
-            far = start_at + _pick_fault_time(cfg, crng)
-            if far != plan.key:
-                raise RuntimeError(
-                    "branch plan fault time %r != replayed draw %r"
-                    % (plan.key, far))
-            proxy.begin_capture()
-            inject(cfg, proxy, cluster, crng.spawn("target"), far)
-            plane.adopt_captured(proxy.drain_capture())
-            return far, proxy
-
-        got = branch.serve_time_gates(sim, _adopt)
-        if got is not None:
-            # We are a forked child: become this run.
-            plan, (child_fault_at, child_plane) = got
-            config = plan.config
-            fault_at = child_fault_at
-            plane = child_plane
-        # The parent falls through with its placeholders parked at
-        # _FAR_FUTURE: it completes as a clean, fault-free run whose
-        # outcome the executor discards.
 
     horizon = config.observe_horizon_us
 

@@ -29,7 +29,7 @@ draws and same-seed campaigns render byte-identical tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..cluster import build_cluster
 from ..net.fabric import clos_dimensions, fat_tree_dimensions
@@ -39,8 +39,6 @@ from .campaign import (
     NetFaultCampaignResult,
     NetFaultConfig,
     NetFaultOutcome,
-    netfault_group,
-    plan_netfault_runs,
     resume_netfault,
 )
 
@@ -52,9 +50,6 @@ __all__ = [
     "inject_closfault",
     "boot_closfault",
     "resume_closfault",
-    "closfault_family",
-    "closfault_group",
-    "plan_closfault_runs",
     "run_closfault_injection",
 ]
 
@@ -207,28 +202,7 @@ def inject_closfault(config: ClosFaultConfig, plane, cluster,
         raise ValueError("unknown closfault scenario %r" % (kind,))
 
 
-# -- boot / resume (fork-server compatible) ------------------------------------
-
-
-def closfault_family(config: ClosFaultConfig):
-    """Boot-sharing key: runs of one cell shape share a booted fabric."""
-    return ("closfault", config.flavor, config.n_nodes, config.topology,
-            config.n_switches, config.radix)
-
-
-def closfault_group(config: ClosFaultConfig):
-    """Branch-group key: the netfault prefix fields plus the closfault
-    scenario knobs (all of which shape the fault schedule a child
-    replays, none of which touch the shared pre-fault trajectory)."""
-    return netfault_group(config) + (
-        config.flavor, config.rack_down_us, config.cascade_stagger_us,
-        config.flap_revive_us, config.second_cut_us)
-
-
-def plan_closfault_runs(cluster, items):
-    """Closfault runs replay the same (rng, plane, fault-time) draw
-    sequence as flat netfault runs; the planner is shared."""
-    return plan_netfault_runs(cluster, items)
+# -- boot / resume ------------------------------------------------------------
 
 
 def boot_closfault(config: ClosFaultConfig):
@@ -238,14 +212,13 @@ def boot_closfault(config: ClosFaultConfig):
                          radix=config.radix or None)
 
 
-def resume_closfault(cluster, config: ClosFaultConfig,
-                     branch=None, pause_at=None):
+def resume_closfault(cluster, config: ClosFaultConfig, pause_at=None):
     """Inject a compound scenario and classify, on a booted cluster.
 
     Detectors are armed only on workload-active nodes (with the 3-tier
     scout TTL): on a hundreds-of-nodes fabric the other nodes stay
     parked — a sweeping detector per idle node would keep every MCP
-    awake for nothing.  ``branch``/``pause_at`` pass straight through to
+    awake for nothing.  ``pause_at`` passes straight through to
     :func:`repro.netfaults.campaign.resume_netfault`.
     """
     active = sorted({node for pair in (config.pairs or ())
@@ -255,7 +228,7 @@ def resume_closfault(cluster, config: ClosFaultConfig,
         inject_fn=inject_closfault,
         detector_nodes=active or None,
         detector_kwargs={"scout_ttl": DETECTOR_SCOUT_TTL},
-        branch=branch, pause_at=pause_at)
+        pause_at=pause_at)
 
 
 def run_closfault_injection(config: ClosFaultConfig) -> NetFaultOutcome:

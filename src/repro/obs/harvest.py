@@ -29,8 +29,8 @@ def _sanitize_records(records):
     """Copies of ``records`` with non-JSON detail values repr()'d.
 
     Trace details may hold live simulation objects (events, tuples of
-    ports); stashed records cross process boundaries (fork-server pipe,
-    pool pickling), so they are flattened to scalars at harvest time —
+    ports); stashed records cross process boundaries (pool pickling),
+    so they are flattened to scalars at harvest time —
     the same fallback ``chrome_trace_doc`` applies at export time.
     """
     out = []

@@ -340,8 +340,8 @@ class MetricsSnapshot:
     ``merge`` is commutative and associative — counters sum, gauges
     combine (n/total sum, min/max extremes), histograms sum bucket
     counts — so folding per-run snapshots in *any* order produces the
-    same aggregate.  That is what lets fork-server children, pool
-    workers and the serial loop agree byte for byte.
+    same aggregate.  That is what lets pool workers and the serial
+    loop agree byte for byte.
     """
 
     def __init__(self, counters: Optional[Dict[str, float]] = None,

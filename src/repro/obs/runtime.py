@@ -2,8 +2,8 @@
 
 The experiment engine configures telemetry *intent* once per process
 (``configure``), then brackets each run with ``begin_run`` /
-``collect``.  Fork-server children inherit the flags through ``fork``;
-pool workers re-configure from arguments carried in the task partial.
+``collect``.  Every run (serial or in a pool worker) re-configures
+from arguments carried in the task partial before it boots.
 Everything here is process-local — runs never share a live registry —
 so a run's snapshot only ever reflects its own cluster.
 
@@ -90,10 +90,7 @@ def begin_run() -> Optional[MetricsRegistry]:
     Installs a new enabled registry when metrics intent is on (else
     leaves the registry absent) and clears any stashed trace records
     and timeseries.  The flight-recorder handle is deliberately *not*
-    cleared: fork-server children inherit the recorder their server
-    built at boot, and ``begin_run`` runs in the child *after* that
-    boot — ``build_cluster`` overwrites the handle per built cluster
-    instead.
+    cleared: ``build_cluster`` overwrites it per built cluster.
     """
     global _registry, _trace_records, _timeseries
     _registry = MetricsRegistry(enabled=True) if _metrics_on else None

@@ -6,7 +6,7 @@ rides the cluster's own event wheel — a self-re-arming timer chain at
 ``every_us`` of *simulated* time, never wall clock — and snapshots the
 registered hot-loop counters into equal-length per-metric tracks.  The
 result is fully deterministic: same seed, same cadence, same tracks,
-regardless of executor (serial, pool, fork-server or sharded).
+regardless of executor (serial or pool).
 
 Two deliberate disciplines keep sampling honest:
 
@@ -88,7 +88,7 @@ class TimeSeriesSampler:
 
     def _fire(self, _event) -> None:
         # The scheduled instant is exact by construction; don't read a
-        # clock (sharded wheels lag the global clock between grants).
+        # clock.
         self._sample(self._t0 + self._k * self.every_us)
         self._arm()
 

@@ -12,13 +12,6 @@ from .core import (
 )
 from .resources import Pipe, Resource, Store
 from .rng import SeededRng, derive_seed
-from .shard import (
-    LookaheadError,
-    ShardChannel,
-    ShardedScheduler,
-    ShardWheel,
-    shards_from_env,
-)
 from .trace import TraceRecord, Tracer, chrome_trace_doc
 
 __all__ = [
@@ -26,14 +19,10 @@ __all__ = [
     "AnyOf",
     "Event",
     "Interrupt",
-    "LookaheadError",
     "Pipe",
     "Process",
     "Resource",
     "SeededRng",
-    "ShardChannel",
-    "ShardedScheduler",
-    "ShardWheel",
     "SimulationError",
     "Simulator",
     "Store",
@@ -42,5 +31,4 @@ __all__ = [
     "Tracer",
     "chrome_trace_doc",
     "derive_seed",
-    "shards_from_env",
 ]

@@ -3,8 +3,9 @@
 The contract under test: a snapshot file is a pure function of (spec,
 run index, pause instant) — no wall clock, no process identity — so
 restoring it and snapshotting again reproduces the file byte for byte,
-in this process, in a fresh ``spawn`` process, and under every execution
-mode (shards on/off, telemetry on/off, lazy node parking).
+in this process, in a fresh interpreter, and under every execution mode
+(telemetry on/off, lazy node parking).  A campaign spliced from a
+snapshot (``--from-snapshot``) matches its cold-boot twin.
 """
 
 import json
@@ -23,7 +24,7 @@ from repro.ckpt.snapshot import (
     write_snapshot,
 )
 from repro.exp.registry import get_experiment
-from repro.exp.runner import run_many
+from repro.exp.runner import run_experiment, run_many
 
 SEEDS = [2003, 99]
 AT_US = 4_000.0
@@ -66,13 +67,6 @@ class TestRoundTrip:
 
 
 class TestExecutionModes:
-    @pytest.mark.parametrize("schedule", ["merged", "windowed"])
-    def test_shards_2_round_trip(self, schedule, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "2")
-        monkeypatch.setenv("REPRO_SHARD_SCHEDULE", schedule)
-        spec = _netfaults_spec(SEEDS[0])
-        _roundtrip_bytes(spec, tmp_path, "shards-%s" % schedule)
-
     def test_telemetry_mode_round_trip(self, tmp_path):
         from repro.obs import runtime as obs_runtime
 
@@ -143,6 +137,26 @@ class TestMismatchRejection:
         spec = _netfaults_spec(SEEDS[0])
         with pytest.raises(SnapshotMismatch):
             take_snapshot(spec, AT_US, run_index=99)
+
+
+class TestFromSnapshot:
+    def test_from_snapshot_matches_cold_campaign(self, tmp_path):
+        spec = _netfaults_spec(SEEDS[0])
+        path = tmp_path / "nf.json"
+        write_snapshot(take_snapshot(spec, AT_US, run_index=2), str(path))
+        cold = run_experiment(spec)
+        spliced = run_experiment(spec, from_snapshot=str(path))
+        assert spliced.outcomes == cold.outcomes
+        assert spliced.summary == cold.summary
+        assert spliced.rendered == cold.rendered
+
+    def test_wrong_spec_is_refused(self, tmp_path):
+        path = tmp_path / "nf.json"
+        write_snapshot(take_snapshot(_netfaults_spec(SEEDS[0]), AT_US,
+                                     run_index=2), str(path))
+        with pytest.raises(SnapshotMismatch):
+            run_experiment(_netfaults_spec(SEEDS[1]),
+                           from_snapshot=str(path))
 
 
 class TestCrossProcess:

@@ -1,9 +1,14 @@
 """Unit tests for the LANai SRAM model."""
 
+import hashlib
+import os
+
 import pytest
 
 from repro.errors import BusError
 from repro.hw import Sram
+
+LANAI9_SRAM = 2 * 1024 * 1024
 
 
 def test_word_roundtrip_big_endian():
@@ -92,3 +97,48 @@ def test_invalid_size_rejected():
         Sram(0)
     with pytest.raises(ValueError):
         Sram(1023)  # not a word multiple
+
+
+def test_fresh_sram_reads_zero_everywhere():
+    sram = Sram(LANAI9_SRAM)
+    assert sram.read_bytes(0, LANAI9_SRAM) == bytes(LANAI9_SRAM)
+    sram.write_bytes(LANAI9_SRAM // 2, b"\xff" * 4096)
+    sram.clear()
+    assert sram.read_bytes(0, LANAI9_SRAM) == bytes(LANAI9_SRAM)
+
+
+def test_fresh_digest_is_that_of_zeros():
+    digest = Sram(LANAI9_SRAM).ckpt_state()["mem_sha256"]
+    assert digest == hashlib.sha256(bytes(LANAI9_SRAM)).hexdigest()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_writes_do_not_cross_a_fork():
+    # A pool worker forked while a cluster exists must never share SRAM
+    # writes with its parent, in either direction.
+    sram = Sram(4096)
+    sram.write_bytes(0, b"\x01")
+    to_child_r, to_child_w = os.pipe()
+    to_parent_r, to_parent_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            sram.write_bytes(8, b"\x22")
+            os.write(to_parent_w, b"w")
+            os.read(to_child_r, 1)          # the parent has written
+            os.write(to_parent_w, sram.read_bytes(0, 32))
+        finally:
+            os._exit(0)
+    os.close(to_child_r)
+    os.close(to_parent_w)
+    assert os.read(to_parent_r, 1) == b"w"
+    sram.write_bytes(16, b"\x33")
+    os.write(to_child_w, b"g")
+    child_view = os.read(to_parent_r, 32)
+    os.waitpid(pid, 0)
+    os.close(to_child_w)
+    os.close(to_parent_r)
+    assert child_view[0] == 0x01 and child_view[8] == 0x22
+    assert child_view[16] == 0x00           # the parent's write stayed home
+    assert sram.read_bytes(8, 1) == b"\x00"  # so did the child's
+    assert sram.read_bytes(16, 1) == b"\x33"

@@ -1,11 +1,12 @@
 """End-to-end slo-chaos determinism: same seed, same bytes, any executor.
 
 The whole load plane promises that a campaign's result document depends
-only on its spec — not on the execution strategy (serial, worker pool,
-fork-server, sharded wheels) and not on whether telemetry was recording.
-These tests pin that promise at the document level: ``to_doc()`` minus
-the environment manifest (and the telemetry block, which is additive
-observability, not outcome data) must be byte-identical.
+only on its spec — not on the executor (serial or worker pool; see
+``tests/exp/test_executors.py``) and not on whether telemetry was
+recording.  These tests pin that promise at the document level:
+``to_doc()`` minus the environment manifest (and the telemetry block,
+which is additive observability, not outcome data) must be
+byte-identical.
 """
 
 import json
@@ -14,13 +15,9 @@ import pytest
 
 from repro.exp.registry import get_experiment
 from repro.exp.results import validate_result
-from repro.exp.runner import forkserver_available, run_experiment
+from repro.exp.runner import run_experiment
 
 SEEDS = [2003, 99]
-
-needs_forkserver = pytest.mark.skipif(
-    not forkserver_available(),
-    reason="fork-server unavailable on this platform or disabled by env")
 
 
 def _spec(seed):
@@ -39,27 +36,15 @@ def _doc_bytes(result):
 @pytest.mark.parametrize("seed", SEEDS)
 class TestByteIdentity:
     def test_pool_matches_serial(self, seed):
-        serial = run_experiment(_spec(seed), forkserver=False)
-        pooled = run_experiment(_spec(seed), workers=2, forkserver=False)
+        serial = run_experiment(_spec(seed))
+        pooled = run_experiment(_spec(seed), workers=2)
         assert _doc_bytes(pooled) == _doc_bytes(serial)
 
-    def test_sharded_matches_serial(self, seed):
-        serial = run_experiment(_spec(seed), forkserver=False)
-        sharded = run_experiment(_spec(seed), forkserver=False, shards=2)
-        assert _doc_bytes(sharded) == _doc_bytes(serial)
-
     def test_telemetry_does_not_change_outcomes(self, seed):
-        plain = run_experiment(_spec(seed), forkserver=False)
-        metered = run_experiment(_spec(seed), forkserver=False,
-                                 telemetry=True)
+        plain = run_experiment(_spec(seed))
+        metered = run_experiment(_spec(seed), telemetry=True)
         assert metered.telemetry is not None
         assert _doc_bytes(metered) == _doc_bytes(plain)
-
-    @needs_forkserver
-    def test_forkserver_matches_spawn(self, seed):
-        spawned = run_experiment(_spec(seed), forkserver=False)
-        forked = run_experiment(_spec(seed), forkserver=True)
-        assert _doc_bytes(forked) == _doc_bytes(spawned)
 
 
 class TestSpecHashes:
@@ -74,7 +59,7 @@ class TestSpecHashes:
 
 class TestVerdictDocument:
     def test_small_campaign_grades_the_expected_story(self):
-        result = run_experiment(_spec(SEEDS[0]), forkserver=False)
+        result = run_experiment(_spec(SEEDS[0]))
         verdicts = result.summary["verdicts"]
         # Fault-free baseline passes with FT on and off; under a cut
         # link only the fault-tolerant flavor holds the SLO.
@@ -85,7 +70,7 @@ class TestVerdictDocument:
 
     def test_outcomes_decode_and_round_trip(self):
         experiment = get_experiment("slo-chaos")
-        result = run_experiment(_spec(SEEDS[0]), forkserver=False)
+        result = run_experiment(_spec(SEEDS[0]))
         doc = result.to_doc()
         for encoded, outcome in zip(doc["outcomes"], result.outcomes):
             decoded = experiment.decode(encoded)

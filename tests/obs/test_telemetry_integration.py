@@ -54,17 +54,14 @@ class TestByteIdentity:
         _, on = _doc("effectiveness", params, telemetry=True, trace=True)
         assert _strip(off) == _strip(on)
 
-    def test_workers_and_forkserver_modes_agree(self):
+    def test_executors_agree(self, executor):
         params = {"runs": 4}
-        docs = [
-            _doc("effectiveness", params, telemetry=True,
-                 workers=workers, forkserver=forkserver)[1]
-            for workers, forkserver in
-            ((1, True), (4, True), (1, False), (4, False))
-        ]
-        asjson = [json.dumps(d, sort_keys=True) for d in docs]
-        assert all(d == asjson[0] for d in asjson), \
-            "serial/pool/fork-server runs must agree, telemetry included"
+        _, serial = _doc("effectiveness", params, telemetry=True)
+        other = executor("effectiveness", params, telemetry=True).to_doc()
+        other.pop("manifest")
+        assert json.dumps(other, sort_keys=True) \
+            == json.dumps(serial, sort_keys=True), \
+            "serial and pool runs must agree, telemetry included"
 
 
 class TestSnapshotSemantics:

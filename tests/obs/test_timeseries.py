@@ -188,16 +188,11 @@ class TestEngineIntegration:
         assert series["sample_every_us"] == 2000.0
         assert [index for index, _ in series["runs"]] == [0]
 
-    def test_timeseries_identical_across_executors(self):
-        docs = [
-            _run("netfaults", NF_PARAMS, sample_every=2000.0,
-                 **mode).to_doc()["timeseries"]
-            for mode in ({}, {"workers": 2}, {"forkserver": False},
-                         {"shards": 2})
-        ]
-        as_json = [json.dumps(d, sort_keys=True) for d in docs]
-        assert all(d == as_json[0] for d in as_json), \
-            "serial/pool/spawn/sharded timeseries must be identical"
+    def test_timeseries_identical_across_executors(self, executor):
+        serial = _run("netfaults", NF_PARAMS, sample_every=2000.0)
+        other = executor("netfaults", NF_PARAMS, sample_every=2000.0)
+        assert json.dumps(other.to_doc()["timeseries"], sort_keys=True) \
+            == json.dumps(serial.to_doc()["timeseries"], sort_keys=True)
 
     def test_result_doc_with_timeseries_validates(self):
         result = _run("netfaults", NF_PARAMS, sample_every=2000.0)
