@@ -110,14 +110,6 @@ def _driver_class(flavor):
     raise ValueError("unknown flavor %r (use 'gm' or 'ftgm')" % flavor)
 
 
-#: Clusters at or above this size default to lazy node parking (see
-#: ``repro.gm.mcp``): idle MCPs quiesce off the event wheel entirely.
-#: Below it the historical always-ticking execution is kept, so every
-#: pre-existing (small) experiment stays byte-identical.  REPRO_LAZY=1/0
-#: forces the mode either way.
-LAZY_AUTO_THRESHOLD = 16
-
-
 def build_cluster(n_nodes: int = 2, flavor: str = "gm", seed: int = 0,
                   trace: bool = False,
                   interpreted_nodes: Optional[List[int]] = None,
@@ -125,8 +117,7 @@ def build_cluster(n_nodes: int = 2, flavor: str = "gm", seed: int = 0,
                   start_ftd: bool = True,
                   topology: str = "star",
                   n_switches: Optional[int] = None,
-                  radix: Optional[int] = None,
-                  lazy: Optional[bool] = None) -> MyrinetCluster:
+                  radix: Optional[int] = None) -> MyrinetCluster:
     """Build (and by default boot) an N-node Myrinet cluster.
 
     ``interpreted_nodes`` lists node ids whose MCP runs ``send_chunk`` on
@@ -154,9 +145,8 @@ def build_cluster(n_nodes: int = 2, flavor: str = "gm", seed: int = 0,
 
     ``radix`` is the per-switch port count of the Clos/fat-tree
     generators (ignored by the small topologies).  Clos/fat-tree
-    clusters boot through the hierarchical mapper and, at
-    ``LAZY_AUTO_THRESHOLD`` nodes or more, default to lazy node parking
-    (``lazy``/``REPRO_LAZY`` override).
+    clusters boot through the hierarchical mapper.  On every fabric an
+    idle MCP parks off the event wheel (see ``repro.gm.mcp``).
     """
     if n_nodes < 2:
         raise ValueError("a cluster needs at least 2 nodes")
@@ -212,11 +202,8 @@ def build_cluster(n_nodes: int = 2, flavor: str = "gm", seed: int = 0,
         switch = switches[0]
 
     hierarchical = topology in ("clos", "fat-tree")
-    if lazy is None:
-        lazy = n_nodes >= LAZY_AUTO_THRESHOLD
     for node in nodes:
         node.driver.hierarchical_mapper = hierarchical
-        node.driver.lazy_nodes = lazy
         node.driver.load_mcp()
         if start_ftd and hasattr(node.driver, "start_ftd"):
             node.driver.start_ftd()

@@ -343,15 +343,15 @@ def bench_slo_chaos(runs_per_cell: int = 1, workers: int = 1) -> dict:
 
 def bench_fabric_scaling(sizes=(8, 64, 128, 256), radix: int = 8,
                          idle_us: float = 1_000_000.0) -> dict:
-    """Boot+map+idle wall clock as the fabric scales (the lazy-model win).
+    """Boot+map+idle wall clock as the fabric scales (the parking win).
 
     Each point builds an FTGM cluster (the paper's single-switch star at
     8 nodes, a three-tier fat-tree above), boots and maps it, then runs
-    the simulation one simulated second with nothing to do.  Above the
-    lazy auto-threshold every idle MCP parks off the event wheel, so the
-    idle leg of a 256-node fabric costs (near) nothing and the
-    boot+map+idle total stays within ~10x of the 8-node cluster instead
-    of scaling with ``nodes x housekeeping ticks``.
+    the simulation one simulated second with nothing to do.  Every idle
+    MCP parks off the event wheel, so the idle leg of a 256-node fabric
+    costs (near) nothing and the boot+map+idle total stays within ~10x
+    of the 8-node cluster instead of scaling with ``nodes x housekeeping
+    ticks``.
 
     Every cluster is released (and the cyclic GC run) before the next
     point, and the cyclic collector is paused *during* each point: a
@@ -382,7 +382,7 @@ def bench_fabric_scaling(sizes=(8, 64, 128, 256), radix: int = 8,
             if was_enabled:
                 gc.enable()
         parked = sum(1 for node in cluster.nodes
-                     if getattr(node.driver.mcp, "_parked", False))
+                     if node.driver.mcp._parked)
         points[str(n)] = {
             "nodes": n,
             "topology": topology,

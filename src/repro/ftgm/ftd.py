@@ -235,7 +235,10 @@ class FaultToleranceDaemon:
     def _recover(self, record: RecoveryRecord) -> Generator:
         # 1. Confirm the hang: write a magic word the healthy L_timer()
         #    would clear; if it survives the settle window, the LANai is
-        #    gone.
+        #    gone.  A parked MCP never ticks, so bring it live first or
+        #    a healthy idle card would be reset.
+        if self.driver.mcp is not None:
+            self.driver.mcp.settle_idle()
         self.nic.sram.write_word(MAGIC_WORD_ADDR, MAGIC_WORD)
         yield self.sim.timeout(C.MAGIC_WORD_SETTLE_US)
         if self.nic.sram.read_word(MAGIC_WORD_ADDR) != MAGIC_WORD:

@@ -130,7 +130,31 @@ class FtgmMcp(Mcp):
         if self.nic.sram.read_word(MAGIC_WORD_ADDR) != 0:
             self.nic.sram.write_word(MAGIC_WORD_ADDR, 0)
 
-    # -- lazy parking (watchdog side) ------------------------------------------
+    # -- idle parking (watchdog side) ------------------------------------------
+
+    def _quiescent(self) -> bool:
+        """Park only with no stream state a tick could ever act on.
+
+        Stricter than plain GM: no unacked or deadline-armed tx stream
+        and no partial reassembly.  Parking an FTGM node with in-flight
+        streams moves reroute instants: on the 16-node closfault grid
+        at seed 2003, spine-loss/ftgm's ``reroute_installed_at`` shifts
+        by 3.9 us, which changes the rendered closfault document.
+        External touches (packet arrival, doorbell, host request) still
+        wake a parked MCP themselves.
+
+        A watchdog no longer than one tick period expires between the
+        idle ticks of a healthy card (ablation A2's false alarms); a
+        parked card could not replay those expiries, so it keeps
+        ticking.
+        """
+        if self.watchdog_interval_us <= C.L_TIMER_INTERVAL_US + 1.5:
+            return False
+        for stream in self.tx_streams.values():
+            if stream.deadline is not None or stream.has_unacked() \
+                    or stream.has_sendable():
+                return False
+        return not self.rx_frags
 
     def _park_timers(self) -> None:
         """Stop IT1 for the parked span.
@@ -142,25 +166,13 @@ class FtgmMcp(Mcp):
         """
         self.nic.timers[1].stop()
 
-    def _replay_windows(self, count: int) -> None:
-        """Each replayed window's L_timer would have re-armed IT1."""
-        self.watchdog_arms += count
+    def _replay_extra(self, attrs: dict, whole: int) -> None:
+        """Each whole replayed window's L_timer re-armed IT1.
 
-    def sample_stats(self, now: float) -> dict:
-        """Add the watchdog track to the read-only projection.
-
-        Only whole parked windows re-arm IT1 in the replay
-        (``_replay_windows``); a straddled window's front half counts an
-        invocation but its arm rides the tail callback, so the
-        projection mirrors that split exactly.
+        A straddled window's front half counts an invocation, but its
+        arm rides the tail callback, so only whole windows count here.
         """
-        stats = super().sample_stats(now)
-        arms = self.watchdog_arms
-        if self._parked:
-            whole, _mid = self._parked_projection(now)
-            arms += whole
-        stats["watchdog_arms"] = arms
-        return stats
+        attrs["watchdog_arms"] = self.watchdog_arms + whole
 
     def _unpark_timers(self, prev_window_end: float) -> None:
         """Restore IT1 exactly where the live chain would have left it.
@@ -171,13 +183,3 @@ class FtgmMcp(Mcp):
         """
         self.nic.timers[1].set_deadline(
             prev_window_end + self.watchdog_interval_us)
-
-    # FTGM ticks do observable work even when the dispatch loop is idle:
-    # every L_timer re-arms the watchdog (IT1) and clears the FTD's magic
-    # probe word, and both the FTD and the peer watchdog may poke that
-    # state from outside the event heap (daemon wakeups, test harness
-    # calls between sim.run() slices).  Folding idle ticks into
-    # arithmetic would let a committed skip outlive such a poke and miss
-    # the clears the real cadence guarantees, so FTGM keeps every tick
-    # live (the fused callback path still applies).
-    _idle_skip = False

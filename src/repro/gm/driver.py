@@ -50,9 +50,6 @@ class GmDriver:
         mcp = self.mcp_class(self.sim, self.nic, self.nic.node_id,
                              self.tracer, interpreted=self.interpreted)
         mcp.on_routes_installed = self._routes_installed
-        # The builder stamps ``lazy_nodes`` on the driver once, so MCP
-        # reloads (FTGM recovery) re-apply the same execution mode.
-        mcp.set_lazy(getattr(self, "lazy_nodes", False))
         self.mcp = mcp
         mcp.start()
         self._after_mcp_start(mcp)

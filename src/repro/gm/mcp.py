@@ -23,7 +23,6 @@ marked "FTGM hook" below.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ..errors import GmError
@@ -68,10 +67,10 @@ class Mcp:
     # per-(connection, port) ACK table raise these (Table 2: 6.0 -> 6.8us).
     lanai_send_extra_us = 0.0
     lanai_recv_extra_us = 0.0
-    # Plain-GM idle ticks are pure bookkeeping, so runs of them can be
-    # folded into arithmetic (see _idle_skip_deadline).  Subclasses whose
-    # L_timer does observable work every tick turn this off.
-    _idle_skip = True
+    # The reference the idle model is checked against: when True every
+    # tick resumes the dispatch generator and no MCP ever parks.  Only
+    # tests set it.
+    _live_ticks = False
 
     def __init__(self, sim: Simulator, nic: Nic, node_id: int,
                  tracer: Optional[Tracer] = None,
@@ -101,25 +100,21 @@ class Mcp:
         self.dead_reason: Optional[str] = None
         self._wake = None
         self._proc = None
-        # Tickless idle: an IT0 expiry that finds the dispatch loop
-        # parked with nothing else to do is serviced by two small
-        # callbacks instead of resuming the generator twice per tick
-        # (see _fused_l_timer).  REPRO_TICKLESS=0 disables the fast path.
-        self._tickless = os.environ.get("REPRO_TICKLESS", "1") != "0"
+        # Idle ticks: an IT0 expiry that finds the dispatch loop asleep
+        # with nothing else to do is serviced by two small callbacks
+        # instead of resuming the generator twice per tick (see
+        # _fused_l_timer).
         self._fuse_end = -1.0
         self._fused_cb = self._fused_l_timer
         self._fused_tail_cb = self._fused_tail
-        # Lazy node parking: a fully quiescent MCP (no streams, no
-        # alarms, no pending work of any kind) leaves the event wheel
-        # entirely — IT0 disarmed, nothing scheduled — and is woken by
-        # the first doorbell/packet/host request, replaying the missed
-        # L_timer windows arithmetically on the exact tick chain.  Off
-        # by default; the cluster builder enables it at scale (see
-        # repro.cluster.LAZY_AUTO_THRESHOLD) via set_lazy().
-        self._lazy = False
+        # Idle parking: an MCP whose tick finds nothing to do leaves the
+        # event wheel entirely — IT0 disarmed, nothing scheduled — and
+        # the first touch (doorbell, packet, host request, deadline)
+        # replays the missed L_timer windows on the exact tick chain.
         self._parked = False
         self._park_next_tick = 0.0   # when the next tick would start
         self._park_prev_end = 0.0    # last completed housekeeping window
+        self._replay_cursor = None   # memoised _idle_replay walk
 
         # Interpreted-mode machinery.
         self.cpu: Optional[LanaiCpu] = None
@@ -144,8 +139,7 @@ class Mcp:
         self.l_timer_invocations = 0
         self.l_timer_last: Optional[float] = None
         self.l_timer_max_gap = 0.0
-        self.ticks_absorbed = 0   # idle ticks folded by the tickless path
-        self.ticks_parked = 0     # ticks replayed across parked spans
+        self.ticks_absorbed = 0   # ticks accounted while parked, not run
 
         # Test hooks for adversarially timed crashes (Figures 4 and 5).
         self.hang_after_ack_before_dma = False   # receiver-side, Fig. 5
@@ -153,23 +147,6 @@ class Mcp:
         self.hang_after_dma_before_ack = False   # FTGM window counterpart
 
     # -- lifecycle ------------------------------------------------------------------
-
-    def set_lazy(self, enabled: bool) -> None:
-        """Opt this MCP in (or out) of idle parking.
-
-        ``REPRO_LAZY=1``/``0`` overrides either way; anything else (or
-        unset) keeps the caller's choice.  Parking rides on the tickless
-        machinery and replays whole windows arithmetically, so it is
-        unavailable when tickless is disabled or the firmware path is
-        interpreted (an interpreter tick is not pure bookkeeping).
-        """
-        env = os.environ.get("REPRO_LAZY", "")
-        if env == "1":
-            enabled = True
-        elif env == "0":
-            enabled = False
-        self._lazy = bool(enabled) and self._tickless \
-            and not self.interpreted
 
     def start(self) -> None:
         """Begin dispatch; arm IT0 (the L_timer driver)."""
@@ -217,7 +194,7 @@ class Mcp:
     def ckpt_state(self) -> dict:
         """Snapshot contract: the full control-program protocol state.
 
-        Covers lifecycle (incl. the lazy-parking latches — a parked MCP
+        Covers lifecycle (incl. the idle-parking latches — a parked MCP
         must restore parked, with its arithmetic tick chain intact),
         routing, per-port token queues, both stream directions, pending
         host work, and the calibration counters.  Firmware bytes are not
@@ -230,7 +207,6 @@ class Mcp:
             "paused": self.paused,
             "dead_reason": self.dead_reason,
             "interpreted": self.interpreted,
-            "lazy": self._lazy,
             "parked": self._parked,
             "park_next_tick": self._park_next_tick,
             "park_prev_end": self._park_prev_end,
@@ -262,7 +238,6 @@ class Mcp:
             "l_timer_last": self.l_timer_last,
             "l_timer_max_gap": self.l_timer_max_gap,
             "ticks_absorbed": self.ticks_absorbed,
-            "ticks_parked": self.ticks_parked,
             "cpu": self.cpu.ckpt_state() if self.cpu is not None else None,
         }
 
@@ -312,14 +287,15 @@ class Mcp:
     # -- dispatch loop -----------------------------------------------------------
 
     def _isr_listener(self, mask: int) -> None:
-        if mask & IsrBits.IT0_EXPIRED and self._tickless and self.running:
+        if mask & IsrBits.IT0_EXPIRED and self.running \
+                and not self._live_ticks:
             wake = self._wake
             if (wake is not None and wake.callbacks is not None
                     and not wake._scheduled and not self.host_requests):
                 now = self.sim._now
                 if not any(a[0] <= now for a in self.alarms):
                     # Idle tick: service L_timer via callbacks, leaving
-                    # the dispatch generator parked.  The zero-delay
+                    # the dispatch generator asleep.  The zero-delay
                     # timeout lands at the exact heap position (same
                     # sequence draw) the wake resume would have taken,
                     # so event ordering is unchanged.
@@ -447,7 +423,7 @@ class Mcp:
     def _fused_l_timer(self, _event) -> None:
         """Front half of an idle-tick L_timer, run without the generator.
 
-        Runs at the exact heap position the parked dispatch loop would
+        Runs at the exact heap position the sleeping dispatch loop would
         have resumed at; replicates _step's IT0 branch plus an empty
         L_timer (no host requests, no due alarms — the eligibility
         conditions) and schedules the back half at the end of the 1.5 us
@@ -492,7 +468,7 @@ class Mcp:
         it0 = self.nic.timers[0]
         if not self.running:
             # Real path: the loop breaks and the process ends; wake the
-            # parked generator so it can observe running=False and exit.
+            # sleeping generator so it can observe running=False and exit.
             it0.set_us(C.L_TIMER_INTERVAL_US)
             self._kick()
             return
@@ -514,108 +490,26 @@ class Mcp:
                 it0.set_us(C.L_TIMER_INTERVAL_US)
                 self._kick()
                 return
-        # Fully quiescent and lazy: leave the wheel entirely.  Unlike
-        # the fold below this needs no horizon scan — any event that
-        # could affect this MCP necessarily touches it (packet, bell,
-        # request), and the touch itself triggers the replay.
-        if self._lazy and not self.alarms and not self.host_requests \
-                and self._quiescent():
-            self._park(now)
-            return
-        # Nothing to do and the dispatch loop stays parked.  Fold any
-        # run of provably idle upcoming ticks into arithmetic
-        # bookkeeping and arm IT0 directly at the first tick whose
-        # housekeeping window could interact with another event; tag the
-        # expiry so peer MCPs' fast-forward scans can ignore it too.
-        # Pending alarms or host requests make the next tick do real,
-        # externally visible work, so it must neither be skipped over
-        # nor advertised as inert.
-        if self.alarms or self.host_requests or not self._idle_skip:
+        # Idle: leave the wheel.  Any event that could affect this MCP
+        # touches it (packet, doorbell, host request, a retransmit
+        # deadline's own timeout) and the touch replays the missed ticks
+        # first, so no horizon scan is needed.  Pending alarms or host
+        # requests make the next tick do real work, so it must run.
+        if self.alarms or self.host_requests or not self._quiescent():
             it0.set_us(C.L_TIMER_INTERVAL_US)
             return
-        deadline = self._idle_skip_deadline(now)
-        if deadline is None:
-            it0.set_us(C.L_TIMER_INTERVAL_US)
-        else:
-            it0.set_deadline(deadline)
-        self.sim.inert.add(it0.pending_event)
+        self._park(now)
 
-    def _idle_skip_deadline(self, now: float) -> Optional[float]:
-        """Fast-forward over idle L_timer ticks; return the IT0 deadline.
-
-        Called from the fused tail once the work scan proved the MCP
-        idle.  Scans the event heap for the earliest event that could
-        change anything — skipping events marked inert (replaced timer
-        expiries, peers' committed idle ticks) — and absorbs every
-        upcoming tick whose
-        whole 1.5 us housekeeping window strictly precedes it: their
-        invocation counts, busy time and gap statistics are applied
-        arithmetically on the same floats the real per-tick path would
-        have produced, so the MCP state at the next live event is
-        bitwise identical.  Returns the absolute expiry time for the
-        first tick that must run for real, or ``None`` when no tick can
-        be skipped (then the caller re-arms periodically as usual).
-
-        Correctness leans on one invariant: between now and the chosen
-        deadline the heap holds only inert events, and an inert event
-        never creates work for anyone — so no doorbell, packet, alarm or
-        host request can appear inside the skipped span.
-
-        That invariant only holds when idle ticks are pure bookkeeping,
-        which is a plain-GM property: subclasses whose L_timer maintains
-        externally probed state (FTGM's watchdog and magic word) disable
-        the fold via ``_idle_skip``.
-        """
-        # The external-work horizon spans the whole schedule, not just
-        # this MCP's own queue.
-        t_ext = self.sim.earliest_live()
-        if t_ext == float("inf"):
-            # Only inert events left: without a live horizon the skip is
-            # unbounded, so keep ticking periodically.
-            return None
-        interval = C.L_TIMER_INTERVAL_US
-        # Exact replay of the re-arm chain: the tick after a tick at T
-        # lands at (T + 1.5) + interval, charged from the tail.
-        tick = now + interval
-        skipped = 0
-        last = self.l_timer_last
-        max_gap = self.l_timer_max_gap
-        while tick + 1.5 < t_ext:
-            gap = tick - last
-            if gap > max_gap:
-                max_gap = gap
-            last = tick
-            skipped += 1
-            tick = (tick + 1.5) + interval
-        if not skipped:
-            return None
-        self.l_timer_invocations += skipped
-        self.busy_time += 1.5 * skipped
-        self.ticks_absorbed += skipped
-        self.l_timer_last = last
-        self.l_timer_max_gap = max_gap
-        return tick
-
-    # -- lazy node parking ---------------------------------------------------------
+    # -- idle parking --------------------------------------------------------------
 
     def _quiescent(self) -> bool:
-        """No stream holds state a timer tick could ever act on.
+        """May an idle MCP (nothing runnable now) leave the wheel?
 
-        The fused tail already proved nothing is runnable *now*; this
-        asks the stronger question — could anything become runnable
-        without an external touch?  An armed retransmit deadline or
-        unacked window needs future ticks to fire it; partial
-        reassemblies are kept conservative (their ACK/NACK bookkeeping
-        rides the tick cadence).  All external touches (packet arrival,
-        doorbell, host request) go through set_bits/_kick and wake a
-        parked MCP themselves.
+        Plain GM: always.  An armed retransmit deadline is already a
+        heap timeout whose callback kicks the MCP, and partial
+        reassemblies wait for packets, which kick it too.  FTGM
+        narrows this (see ``FtgmMcp._quiescent``).
         """
-        for stream in self.tx_streams.values():
-            if stream.deadline is not None or stream.has_unacked() \
-                    or stream.has_sendable():
-                return False
-        if self.rx_frags:
-            return False
         return True
 
     def _park(self, now: float) -> None:
@@ -632,141 +526,128 @@ class Mcp:
         self._parked = True
         self._park_prev_end = now
         self._park_next_tick = now + C.L_TIMER_INTERVAL_US
+        self._replay_cursor = None
         self.tracer.emit(now, self.name, "mcp_parked")
 
-    def _unpark(self) -> None:
-        """Replay the parked span and restore the timer chain.
+    def _idle_replay(self, now: float) -> Tuple[dict, float, float]:
+        """The parked span up to ``now``, as live ticking would leave it.
 
-        Runs inside the first ``_kick`` after parking, before dispatch
-        wakes.  Missed whole windows (tick start T, busy span
-        [T, T+1.5]) are applied arithmetically on the exact floats the
-        live chain would have produced; the straddled window — if the
-        wake lands inside one — is split exactly like the live fused
-        path: front-half stats now, tail callback at the window end,
-        kicks suppressed in between.  A wake landing exactly on a tick
-        start raw-sets IT0_EXPIRED so dispatch takes the real L_timer
-        path (the live ordering: the expiry event predates the waking
-        event's kick).
+        The one accounting of idle ticks.  Walks the tick chain from the
+        park anchor — each window spans ``[T, T + 1.5]`` and the next
+        starts one interval after its end — on the exact floats the
+        live re-arm chain produces.  Returns ``(attrs, tick, prev_end)``:
+        ``attrs`` maps each counter the ticks touch to its value at
+        ``now``, ``tick`` is the start of the first window not yet
+        complete and ``prev_end`` the end of the last completed one.
+        When ``tick < now`` the wake lands inside that window: its front
+        half (invocation, gap, busy charge) is in ``attrs`` and its tail
+        is not, exactly as the live fused path splits it.
+
+        Pure with respect to the MCP: ``_unpark`` applies the result,
+        ``sample_stats`` only reads it.  The walk position is memoised
+        (the park state is frozen and time only moves forward), so a
+        sampler reading a long-parked node pays for each window once.
         """
-        self._parked = False
-        now = self.sim._now
-        interval = C.L_TIMER_INTERVAL_US
-        tick = self._park_next_tick
-        prev_end = self._park_prev_end
-        last = self.l_timer_last
-        max_gap = self.l_timer_max_gap
-        replayed = 0
-        while tick + 1.5 <= now:
+        if not self._parked:
+            tick, whole, last, max_gap, prev_end = (
+                float("inf"), 0, self.l_timer_last, self.l_timer_max_gap,
+                None)
+        else:
+            cursor = self._replay_cursor
+            if cursor is None:
+                cursor = (self._park_next_tick, 0, self.l_timer_last,
+                          self.l_timer_max_gap, self._park_prev_end)
+            tick, whole, last, max_gap, prev_end = cursor
+            interval = C.L_TIMER_INTERVAL_US
+            while tick + 1.5 <= now:
+                gap = tick - last
+                if gap > max_gap:
+                    max_gap = gap
+                last = tick
+                whole += 1
+                prev_end = tick + 1.5
+                tick = prev_end + interval
+            self._replay_cursor = (tick, whole, last, max_gap, prev_end)
+        busy = self.busy_time + 1.5 * whole
+        started = whole
+        if tick < now:
             gap = tick - last
             if gap > max_gap:
                 max_gap = gap
             last = tick
-            replayed += 1
-            prev_end = tick + 1.5
-            tick = prev_end + interval
-        if replayed:
-            self.l_timer_invocations += replayed
-            self.busy_time += 1.5 * replayed
-            self.ticks_parked += replayed
-            self.l_timer_last = last
-            self.l_timer_max_gap = max_gap
-            self._replay_windows(replayed)
-        it0 = self.nic.timers[0]
+            busy += 1.5
+            started += 1
+        attrs = {
+            "l_timer_invocations": self.l_timer_invocations + started,
+            "ticks_absorbed": self.ticks_absorbed + started,
+            "busy_time": busy,
+            "l_timer_last": last,
+            "l_timer_max_gap": max_gap,
+        }
+        self._replay_extra(attrs, whole)
+        return attrs, tick, prev_end
+
+    def _unpark(self) -> None:
+        """Apply the parked span's replay and restore the timer chain.
+
+        Runs inside the first ``_kick`` after parking, before dispatch
+        wakes.  A wake landing exactly on a tick start raw-sets IT0_EXPIRED so
+        dispatch takes the real L_timer path (the live ordering: the
+        expiry event predates the waking event's kick).
+        """
+        now = self.sim._now
+        attrs, tick, prev_end = self._idle_replay(now)
+        replayed = attrs["ticks_absorbed"] - self.ticks_absorbed
+        self._parked = False
+        self._replay_cursor = None
+        for name, value in attrs.items():
+            setattr(self, name, value)
         status = self.nic.status
         if tick > now:
-            # Between windows: arm IT0 on the exact chain float.  The
-            # plain-GM fold marks its committed expiries inert (pure
-            # bookkeeping ticks); FTGM ticks stay live.
-            it0.set_deadline(tick)
-            if self._idle_skip:
-                self.sim.inert.add(it0.pending_event)
+            # Between windows: arm IT0 on the exact chain float.
+            self.nic.timers[0].set_deadline(tick)
         elif tick == now:
             # IT0 is not in the IMR, so expiry only sets the ISR bit —
             # raw-set it and let dispatch run the real _l_timer.
             status.isr |= IsrBits.IT0_EXPIRED
         else:
-            # Mid-window wake (tick < now < tick + 1.5): the live fused
-            # front already ran at ``tick``; apply it and schedule the
-            # tail at the window end.
-            gap = tick - self.l_timer_last
-            if gap > self.l_timer_max_gap:
-                self.l_timer_max_gap = gap
-            self.l_timer_last = tick
-            self.l_timer_invocations += 1
-            self.ticks_parked += 1
-            status.clear_bits(IsrBits.HOST_REQUEST)
-            self.busy_time += 1.5
+            # Mid-window wake: the replay applied the front half; the
+            # tail runs at the window end, kicks suppressed until then.
+            # The front half's HOST_REQUEST clear is not applied: it
+            # happened at ``tick``, before the waking request set the
+            # bit (a parked MCP has no request older than its wake).
             self._fuse_end = tick + 1.5
             tail = self.sim.timeout_at(tick + 1.5)
             tail.callbacks.append(self._fused_tail_cb)
         self._unpark_timers(prev_end)
-        self.tracer.emit(now, self.name, "mcp_unparked",
-                         replayed=replayed)
+        self.tracer.emit(now, self.name, "mcp_unparked", replayed=replayed)
 
     def settle_idle(self) -> None:
-        """Replay a parked MCP up to the current instant (observation).
+        """Bring a parked MCP live at the current instant.
 
-        Harvest and outcome extraction read counters directly instead
-        of touching the MCP through its host interface; calling this
-        first brings a parked node's statistics to what the always-
+        Harvest, outcome extraction and the FTD read or write MCP state
+        directly instead of touching the MCP through its host
+        interface; calling this first makes that state what the always-
         ticking execution would show now.  A no-op when not parked.
         """
         if self._parked:
             self._kick()
 
     def sample_stats(self, now: float) -> dict:
-        """Read-only counter projection at ``now`` (never wakes a node).
+        """The idle-tick counters at ``now``, without waking the MCP.
 
         The continuous sampler reads counters mid-run, where
-        ``settle_idle`` would be wrong: replaying the parked span into
-        the live counters changes every later fold, so a sampled run
-        would diverge from an unsampled one.  Instead, project what the
-        always-ticking execution would show at ``now`` over the frozen
-        park state — the same window arithmetic as ``_unpark``, applied
-        to local copies.
+        ``settle_idle`` would be wrong: waking a parked node changes
+        the event schedule, so a sampled run would diverge from an
+        unsampled one.  This returns the replay's result instead.
         """
-        invocations = self.l_timer_invocations
-        parked = self.ticks_parked
-        if self._parked:
-            whole, mid = self._parked_projection(now)
-            invocations += whole + mid
-            parked += whole + mid
-        return {"l_timer_invocations": invocations,
-                "ticks_parked": parked}
-
-    def _parked_projection(self, now: float) -> Tuple[int, int]:
-        """(whole windows elapsed, straddled window) while parked at ``now``.
-
-        Mirrors ``_unpark``'s replay chain — tick starts at
-        ``_park_next_tick``, each window spans ``[T, T + 1.5]`` and the
-        next starts one interval after the end — computed closed-form
-        with a float-correction loop so the count lands on the exact
-        floats the live chain produces.
-        """
-        interval = C.L_TIMER_INTERVAL_US
-        span = interval + 1.5
-        tick = self._park_next_tick
-        whole = 0
-        if tick + 1.5 <= now:
-            whole = int((now - 1.5 - tick) // span) + 1
-            tick += whole * span
-            # Float rounding can land the closed form one window short
-            # (or long) of the exact chain; settle on the replay's own
-            # predicate.
-            while tick + 1.5 <= now:
-                whole += 1
-                tick += span
-            while whole and tick - span + 1.5 > now:
-                whole -= 1
-                tick -= span
-        mid = 1 if tick < now else 0
-        return whole, mid
+        return self._idle_replay(now)[0]
 
     def _park_timers(self) -> None:
         """FTGM hook: stop the watchdog timer across the parked span."""
 
-    def _replay_windows(self, count: int) -> None:
-        """FTGM hook: per-window L_timer side effects (watchdog arms)."""
+    def _replay_extra(self, attrs: dict, whole: int) -> None:
+        """FTGM hook: add per-window side effects to a replay result."""
 
     def _unpark_timers(self, prev_window_end: float) -> None:
         """FTGM hook: restore the watchdog deadline after a parked span."""

@@ -67,42 +67,27 @@ class IntervalTimer:
         """Arm (or re-arm) the timer to expire ``interval_us`` from now."""
         if interval_us <= 0:
             raise ValueError("timer interval must be positive")
-        old = self._pending
         self._armed = True
         self._deadline = self.sim.now + interval_us
         timeout = self.sim.timeout(interval_us)
         self._pending = timeout
         timeout.callbacks.append(self._fire_cb)
-        if old is not None:
-            # The replaced expiry stays in the event heap but can no
-            # longer do anything; mark it so the tickless fast-forward
-            # scan ignores it.
-            self.sim.inert.add(old)
 
     def set_deadline(self, when: float) -> None:
         """Arm to expire at an absolute simulation time.
 
-        The tickless fast-forward uses this to land the expiry on the
+        Unparking an idle MCP uses this to land the expiry on the
         bitwise-exact float the periodic re-arm chain would have
         produced (``set_us`` recomputes ``now + interval``, which is not
         guaranteed to reproduce an accumulated deadline).
         """
-        old = self._pending
         self._armed = True
         self._deadline = when
         timeout = self.sim.timeout_at(when)
         self._pending = timeout
         timeout.callbacks.append(self._fire_cb)
-        if old is not None:
-            self.sim.inert.add(old)
-
-    @property
-    def pending_event(self):
-        """The scheduled expiry timeout, if armed (tickless scan hook)."""
-        return self._pending
 
     def _fire(self, event) -> None:
-        self.sim.inert.discard(event)
         if event is not self._pending or not self._armed:
             return  # re-armed or stopped since scheduling
         self._armed = False
@@ -113,8 +98,6 @@ class IntervalTimer:
 
     def stop(self) -> None:
         """Disarm without firing (used on card reset)."""
-        if self._pending is not None:
-            self.sim.inert.add(self._pending)
         self._armed = False
         self._deadline = None
         self._pending = None

@@ -49,17 +49,15 @@ def harvest_cluster(cluster, *, fault_at: Optional[float] = None) -> None:
     the experiment knows it) enables the ``recovery.detection_us``
     histogram — fault occurrence to the FATAL interrupt.
     """
-    # Lazily-parked MCPs carry whole housekeeping windows as pending
+    # Parked MCPs carry their idle housekeeping windows as pending
     # arithmetic; settle them so every counter below reads as if the
     # ticks had run live.  This happens before the telemetry check on
-    # purpose: the fold is deterministic and identical whether telemetry
-    # is on or off, which keeps post-harvest cluster state — and any
-    # outcome fields read from it later — byte-identical either way.
+    # purpose: the replay is deterministic and identical whether
+    # telemetry is on or off, which keeps post-harvest cluster state —
+    # and any outcome fields read from it later — byte-identical either
+    # way.
     for node in cluster.nodes:
-        mcp = node.driver.mcp
-        settle = getattr(mcp, "settle_idle", None)
-        if settle is not None:
-            settle()
+        node.driver.mcp.settle_idle()
 
     # Continuous plane: the sampler's tracks and the flight recorder's
     # end instant are fixed here, where the run is known finished.  Both
@@ -93,7 +91,6 @@ def harvest_cluster(cluster, *, fault_at: Optional[float] = None) -> None:
     sim = cluster.sim
     inc("sim.events_scheduled", next(sim._seq))
     gauge("sim.events_pending", len(sim._queue))
-    gauge("sim.events_inert", len(sim.inert))
     gauge("sim.time_us", sim.now)
 
     # -- per node: LANai, SRAM, MCP, DMA, NIC, driver, ports -------------------
@@ -114,10 +111,6 @@ def harvest_cluster(cluster, *, fault_at: Optional[float] = None) -> None:
         inc("mcp.recv_busy_us", mcp.recv_busy_time)
         inc("mcp.l_timer_invocations", mcp.l_timer_invocations)
         inc("mcp.ticks_absorbed", mcp.ticks_absorbed)
-        # Only lazy fabrics ever park; keep the counter out of eager
-        # clusters' reports so pre-lazy telemetry stays byte-identical.
-        if getattr(mcp, "ticks_parked", 0):
-            inc("mcp.ticks_parked", mcp.ticks_parked)
         watchdog_arms = getattr(mcp, "watchdog_arms", None)
         if watchdog_arms is not None:                 # FTGM firmware only
             inc("mcp.watchdog_arms", watchdog_arms)

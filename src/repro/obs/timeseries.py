@@ -10,11 +10,11 @@ regardless of executor (serial or pool).
 
 Two deliberate disciplines keep sampling honest:
 
-* **Nothing mutates.**  Reading a lazily-parked MCP must not wake it
-  (``settle_idle`` replays the parked span *into* the counters, changing
-  later folds), so parked nodes are sampled through
-  ``Mcp.sample_stats`` — a read-only projection mirroring ``_unpark``'s
-  replay arithmetic.
+* **Nothing mutates.**  Reading a parked MCP must not wake it
+  (``settle_idle`` puts the node back on the event wheel, changing the
+  schedule), so MCP counters are read through ``Mcp.sample_stats`` —
+  the same idle replay ``_unpark`` applies, returned without applying
+  it.
 * **Off costs nothing.**  The sampler only exists when the engine's
   ``--sample-every`` intent is set (see ``repro.obs.runtime``); with it
   unset ``build_cluster`` installs nothing — no timer events, no
@@ -44,9 +44,8 @@ class TimeSeriesSampler:
     Sample instants are ``t0 + k * every_us`` (absolute-float timer
     arithmetic via ``timeout_at``, so cadence floats never drift), with
     ``t0`` the install time — 0.0 when installed by ``build_cluster``.
-    The timer chain is live (never inert), which also pins the tickless
-    idle fold: a parked fabric still stops at every sample instant, so
-    sampled values are exact at-instant reads, not estimates.
+    A parked fabric still stops at every sample instant, so sampled
+    values are exact at-instant reads, not estimates.
 
     ``register`` adds a named track; readers are ``fn(now) -> number``
     and must be read-only.  Tracks registered mid-run (the load plane
@@ -115,8 +114,8 @@ class TimeSeriesSampler:
             label = "node%d" % node.node_id
             self.register("mcp.%s.l_timer_invocations" % label,
                           _mcp_reader(node, "l_timer_invocations"))
-            self.register("mcp.%s.ticks_parked" % label,
-                          _mcp_reader(node, "ticks_parked"))
+            self.register("mcp.%s.ticks_absorbed" % label,
+                          _mcp_reader(node, "ticks_absorbed"))
             if getattr(node.driver.mcp, "watchdog_arms", None) is not None:
                 self.register("mcp.%s.watchdog_arms" % label,
                               _mcp_reader(node, "watchdog_arms"))
@@ -150,15 +149,11 @@ class TimeSeriesSampler:
 def _mcp_reader(node, key: str) -> Callable[[float], float]:
     """Late-binding MCP counter reader (survives post-recovery reloads).
 
-    Goes through ``sample_stats`` so a lazily-parked MCP reports what
-    the always-ticking execution would show at ``now`` without waking.
+    Goes through ``sample_stats`` so a parked MCP reports what the
+    always-ticking execution would show at ``now`` without waking.
     """
     def read(now: float) -> float:
-        mcp = node.driver.mcp
-        stats = getattr(mcp, "sample_stats", None)
-        if stats is None:
-            return getattr(mcp, key, 0)
-        return stats(now).get(key, 0)
+        return node.driver.mcp.sample_stats(now)[key]
     return read
 
 

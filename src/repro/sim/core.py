@@ -391,7 +391,7 @@ class Simulator:
     """
 
     __slots__ = ("_now", "_queue", "_seq", "active_process", "event",
-                 "timeout", "ids", "inert")
+                 "timeout", "ids")
 
     def __init__(self):
         self._now = 0.0
@@ -408,12 +408,6 @@ class Simulator:
         # determinism (serial and pooled executions would
         # disagree).
         self.ids = itertools.count(1)
-        # Scheduled events that provably cannot change observable state
-        # when they fire: replaced/stopped interval-timer expiries, and
-        # idle housekeeping ticks an MCP has committed to absorbing
-        # without work.  The tickless fast-forward scan skips over these
-        # when looking for the next event that could matter.
-        self.inert: set = set()
 
         # sim.event()/sim.timeout() are the two hottest allocation sites
         # in the project; these closures skip the type-call machinery
@@ -462,7 +456,7 @@ class Simulator:
     def timeout_at(self, when: float) -> Timeout:
         """A timeout landing at an absolute time, bitwise exact.
 
-        The tickless fast-forward path arms timers on the precise floats
+        Unparking an idle MCP arms timers on the precise floats
         the periodic re-arm chain would have produced; going through
         ``timeout(when - now)`` would schedule at ``now + (when - now)``,
         which is not guaranteed to equal ``when`` in float arithmetic.
@@ -528,19 +522,6 @@ class Simulator:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
-
-    def earliest_live(self) -> float:
-        """Earliest scheduled event that is not marked inert, or ``inf``.
-
-        The horizon the tickless idle fold leans on: between now and this
-        time, nothing in the schedule can create externally visible work.
-        """
-        inert = self.inert
-        t_ext = float("inf")
-        for when, _seq, item in self._queue:
-            if when < t_ext and item not in inert:
-                t_ext = when
-        return t_ext
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock would pass ``until``.
@@ -631,5 +612,4 @@ class Simulator:
             "next_seq": count_position(self._seq),
             "next_id": count_position(self.ids),
             "queue": [list(e) for e in entries],
-            "inert": len(self.inert),
         }

@@ -82,16 +82,15 @@ class TestExecutionModes:
         assert telemetered.state_hash == plain.state_hash
 
     def test_lazy_parked_nodes_settle_across_restore(self, tmp_path):
-        # A 16-node fat-tree is at the lazy auto-threshold: idle MCPs
-        # park off the wheel.  The parked latches are part of the hashed
-        # state, and a restore must land every node in the same latch
-        # state the snapshot recorded.
+        # Idle MCPs park off the wheel.  The parked latches are part of
+        # the hashed state, and a restore must land every node in the
+        # same latch state the snapshot recorded.
         spec = get_experiment("closfault").build_spec(
             {"scale": "small", "nodes": 16, "radix": 4})
         snapshot = take_snapshot(spec, AT_US, run_index=0)
         recorded = [node["mcp"]["parked"]
                     for node in snapshot.capture["state"]["nodes"]]
-        assert any(recorded), "expected parked nodes on a lazy fabric"
+        assert any(recorded), "expected parked nodes on an idle fabric"
         paused = restore_snapshot(snapshot)      # verify=True hash check
         live = [bool(getattr(node.driver.mcp, "_parked", False))
                 for node in paused.cluster.nodes]

@@ -3,7 +3,7 @@
 The load-bearing guarantees: sampling off installs nothing (results
 byte-identical to unsampled runs), sampling on is deterministic across
 every executor, sample instants ride simulated time exactly, and
-reading a lazily-parked MCP never wakes it.
+reading a parked MCP never wakes it.
 """
 
 import json
@@ -70,7 +70,7 @@ class TestSamplerUnit:
         cluster.sim.run(until=3000)
         tracks = set(cluster.sampler.to_doc()["tracks"])
         for expected in ("mcp.node0.l_timer_invocations",
-                         "mcp.node0.ticks_parked",
+                         "mcp.node0.ticks_absorbed",
                          "mcp.node0.watchdog_arms",
                          "mcp.node1.l_timer_invocations",
                          "link.packets_carried",
@@ -126,14 +126,14 @@ class TestParkedSampling:
     """Reading a parked MCP projects, never wakes."""
 
     def _parked_cluster(self):
-        cluster = build_cluster(n_nodes=2, flavor="gm", lazy=True)
+        cluster = build_cluster(n_nodes=2, flavor="gm")
         cluster.sim.run(until=50_000)
         return cluster
 
     def test_sample_stats_does_not_unpark(self):
         cluster = self._parked_cluster()
         mcp = cluster.nodes[0].driver.mcp
-        assert mcp._parked, "idle lazy node should have parked"
+        assert mcp._parked, "idle node should have parked"
         before = mcp.l_timer_invocations
         mcp.sample_stats(cluster.sim.now)
         assert mcp._parked
@@ -150,10 +150,10 @@ class TestParkedSampling:
         mcp.settle_idle()
         assert mcp.l_timer_invocations \
             == projected["l_timer_invocations"]
-        assert mcp.ticks_parked == projected["ticks_parked"]
+        assert mcp.ticks_absorbed == projected["ticks_absorbed"]
 
     def test_ftgm_projection_matches_watchdog_arms(self):
-        cluster = build_cluster(n_nodes=2, flavor="ftgm", lazy=True)
+        cluster = build_cluster(n_nodes=2, flavor="ftgm")
         cluster.sim.run(until=80_000)
         mcp = cluster.nodes[1].driver.mcp
         if not mcp._parked:
@@ -171,6 +171,9 @@ class TestParkedSampling:
         cluster = build_cluster(n_nodes=2, flavor="ftgm")
         cluster.sim.run(until=10_000)
         mcp = cluster.nodes[0].driver.mcp
+        # An idle node parks; settling brings it live at this instant.
+        mcp.settle_idle()
+        assert not mcp._parked
         stats = mcp.sample_stats(cluster.sim.now)
         assert stats["l_timer_invocations"] == mcp.l_timer_invocations
         assert stats["watchdog_arms"] == mcp.watchdog_arms
